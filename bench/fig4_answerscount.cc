@@ -8,12 +8,17 @@
 //  * Hadoop MapReduce persists all intermediate results on disk;
 //  * Spark caches/streams in memory and scales best.
 //
-//   ./build/bench/fig4_answerscount [scale=0.001] [gb=80] [maxprocs=128]
+//   ./build/bench/fig4_answerscount [--smoke] [scale=0.001] [gb=80]
+//       [maxprocs=128]
 //
 // maxprocs=16384 extends the sweep past 10^4 ranks (pair it with
 // scale=0.0001 so per-node scratch staging fits in RAM; see EXPERIMENTS.md).
+// --smoke sweeps to 512 ranks at scale=0.00002 (about a second) and exits
+// non-zero unless the paper's shape holds in every row (ctest runs it).
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench_opts.h"
 #include "cluster/cluster.h"
@@ -179,22 +184,67 @@ std::string Cell(SimTime t) {
   return FormatDuration(t);
 }
 
+struct SweepRow {
+  int procs = 0;
+  SimTime omp = -1;
+  SimTime mpi = -1;
+  SimTime hadoop = -1;
+  SimTime spark = -1;
+};
+
+/// The paper's Fig 4 shape at 80 GiB, row by row: MPI is N/A up to 40
+/// processes and runs from 48, Hadoop is slower than Spark, OpenMP runs
+/// only on one node (8 and 16 processes), and MPI beats Spark wherever it
+/// runs. Returns one line per violation.
+std::vector<std::string> ShapeViolations(const std::vector<SweepRow>& rows) {
+  std::vector<std::string> violations;
+  for (const SweepRow& r : rows) {
+    auto fail = [&](const char* what) {
+      violations.push_back(std::to_string(r.procs) + " procs: " + what);
+    };
+    if ((r.omp >= 0) != (r.procs <= 16)) fail("OpenMP row out of place");
+    if (r.procs <= 40 && r.mpi != -2) {
+      fail("MPI ran past the 2 GB/rank limit");
+    }
+    if (r.procs >= 48 && r.mpi < 0) fail("MPI did not run");
+    if (r.spark < 0 || r.hadoop <= r.spark) {
+      fail("Hadoop not slower than Spark");
+    }
+    if (r.mpi >= 0 && r.mpi >= r.spark) fail("MPI not faster than Spark");
+  }
+  return violations;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Observability::Instance().ParseFlags(&argc, argv);
+  bool smoke = false;
+  {
+    int out = 1;
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--smoke") == 0) {
+        smoke = true;
+      } else {
+        argv[out++] = argv[i];
+      }
+    }
+    argc = out;
+    argv[argc] = nullptr;
+  }
   auto config = Config::FromArgs(argc, argv);
   if (!config.ok()) {
     std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
     return 1;
   }
-  const double scale = config->GetDouble("scale", 0.001);
+  const double scale = config->GetDouble("scale", smoke ? 0.00002 : 0.001);
   const Bytes logical =
       static_cast<Bytes>(config->GetInt("gb", 80)) * kGiB;
   // maxprocs extends the paper's 8..128 sweep: 256..1024 ranks are routine
   // on the fiber backend, and maxprocs=16384 sweeps past 10^4 ranks (see
   // EXPERIMENTS.md for the recipe and expected wall times).
-  const int maxprocs = static_cast<int>(config->GetInt("maxprocs", 128));
+  const int maxprocs =
+      static_cast<int>(config->GetInt("maxprocs", smoke ? 512 : 128));
   const int ppn = 8;  // paper: 8 processes per node
 
   workloads::StackExchangeParams params;
@@ -210,21 +260,23 @@ int main(int argc, char** argv) {
   table.SetHeader({"processes", "nodes", "OpenMP", "MPI", "Hadoop", "Spark"});
   const int proc_counts[] = {8,   16,  24,  32,   40,   48,   64,   96,  128,
                              256, 512, 1024, 2048, 4096, 8192, 16384};
+  std::vector<SweepRow> rows;
   for (int procs : proc_counts) {
     if (procs > maxprocs) break;
     const int nodes = procs / ppn;
-    const SimTime omp_time =
-        procs <= 16 ? RunOpenMp(procs, scale, data) : -3;
-    const SimTime mpi_time = RunMpi(procs, ppn, scale, data);
-    const SimTime mr_time = RunHadoop(nodes, ppn, scale, data);
-    const SimTime spark_time = RunSpark(nodes, ppn, scale, data);
+    SweepRow& row = rows.emplace_back();
+    row.procs = procs;
+    row.omp = procs <= 16 ? RunOpenMp(procs, scale, data) : -3;
+    row.mpi = RunMpi(procs, ppn, scale, data);
+    row.hadoop = RunHadoop(nodes, ppn, scale, data);
+    row.spark = RunSpark(nodes, ppn, scale, data);
     table.Row()
         .Cell(std::int64_t{procs})
         .Cell(std::int64_t{nodes})
-        .Cell(procs <= 16 ? Cell(omp_time) : std::string("single node only"))
-        .Cell(Cell(mpi_time))
-        .Cell(Cell(mr_time))
-        .Cell(Cell(spark_time));
+        .Cell(procs <= 16 ? Cell(row.omp) : std::string("single node only"))
+        .Cell(Cell(row.mpi))
+        .Cell(Cell(row.hadoop))
+        .Cell(Cell(row.spark));
   }
   table.Print();
   std::printf(
@@ -232,5 +284,14 @@ int main(int argc, char** argv) {
       "run below ~41 processes (2 GB int-count limit in MPI-IO) and scales\n"
       "modestly; Hadoop pays disk-persisted intermediates + per-task JVMs;\n"
       "Spark scales best on this I/O-heavy workload.\n");
-  return bench::Observability::Instance().Finish() ? 0 : 1;
+  bool shape_ok = true;
+  if (smoke) {
+    const std::vector<std::string> violations = ShapeViolations(rows);
+    for (const std::string& v : violations) {
+      std::fprintf(stderr, "FAIL: %s\n", v.c_str());
+    }
+    shape_ok = violations.empty();
+    std::printf("\nShape check (--smoke): %s\n", shape_ok ? "ok" : "FAILED");
+  }
+  return bench::Observability::Instance().Finish() && shape_ok ? 0 : 1;
 }

@@ -75,6 +75,7 @@ void Cluster::FailNode(int node, SimTime t) {
   engine_.ScheduleEventFor(node, t, [this, node] {
     if (failed_[node]) return;
     failed_[node] = true;
+    ++node_failures_;
     disks_[node]->set_failed(true);
     for (sim::Pid pid : engine_.AlivePidsOnNode(node)) {
       engine_.KillNow(pid);

@@ -3,6 +3,7 @@
 // runtimes (MiniMPI, MiniSHMEM, MiniMR, MiniSpark) share.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -80,6 +81,9 @@ class Cluster {
   /// policy (e.g. Spark's executor reacquisition, MPI's restart manager).
   void RestoreNode(int node, SimTime t);
   [[nodiscard]] bool NodeFailed(int node) const { return failed_[node]; }
+  /// Node failures so far (monotonic; repairs do not decrement it), so a
+  /// runtime can tell cheaply whether any node failed since it last looked.
+  [[nodiscard]] std::uint64_t node_failures() const { return node_failures_; }
 
   /// Schedule every event of a fault plan (failures and, for transient
   /// events, the matching repairs).
@@ -127,6 +131,7 @@ class Cluster {
   std::vector<std::shared_ptr<storage::Disk>> disks_;
   std::vector<std::unique_ptr<storage::LocalFs>> scratch_;
   std::vector<bool> failed_;
+  std::uint64_t node_failures_ = 0;
   std::vector<NodeEventCallback> on_failure_;
   std::vector<NodeEventCallback> on_restore_;
   std::vector<int> used_cores_;                    // per node

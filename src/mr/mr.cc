@@ -125,6 +125,11 @@ struct MrEngine::Job {
   };
   std::map<int, MapOutput> map_outputs;
 
+  // Dead-worker sweep gate: a pass runs only when one of these moved since
+  // the last one (see SweepDeadWorkers).
+  bool sweep_due = false;  // a worker exited, or the task sets changed
+  std::uint64_t swept_node_failures = 0;
+
   Counters counters;
   SimTime submit_time = 0;
   bool finished = false;
@@ -298,7 +303,7 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
   while (job.done_reduces.size() < total_reduces) {
     auto msg = ep.RecvWithTimeout(ctx, ctx.now() + options_.heartbeat);
     if (!msg.has_value()) {
-      SweepDeadWorkers(ctx, job);
+      SweepDeadWorkers(job);
       if (NoLiveWorkers(job)) {
         job.finished = true;
         job.on_done(Unavailable("all MapReduce workers lost"));
@@ -325,12 +330,14 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
           job.pending_maps.erase(std::find(job.pending_maps.begin(),
                                            job.pending_maps.end(), chosen));
           job.running_maps[chosen] = worker;
+          job.sweep_due = true;
           reply = EncodeAssign(AssignKind::kMap, chosen);
         } else if (job.done_maps.size() == total_maps &&
                    !job.pending_reduces.empty()) {
           const int r = job.pending_reduces.front();
           job.pending_reduces.pop_front();
           job.running_reduces[r] = worker;
+          job.sweep_due = true;
           reply = EncodeAssign(AssignKind::kReduce, r);
         } else {
           reply = EncodeAssign(AssignKind::kWait, 0);
@@ -343,6 +350,7 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
         const int map_id = static_cast<int>(r.ReadRaw<std::int32_t>().value());
         job.running_maps.erase(map_id);
         job.done_maps.insert(map_id);
+        job.sweep_due = true;
         ++job.counters.map_tasks;
         break;
       }
@@ -352,6 +360,7 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
             static_cast<int>(r.ReadRaw<std::int32_t>().value());
         job.running_reduces.erase(reduce_id);
         job.done_reduces.insert(reduce_id);
+        job.sweep_due = true;
         ++job.counters.reduce_tasks;
         break;
       }
@@ -373,6 +382,7 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
         }
         job.running_reduces.erase(reduce_id);
         job.pending_reduces.push_back(reduce_id);
+        job.sweep_due = true;
         ++job.counters.task_retries;
         cluster_.engine().obs().Add(tags_.recovery_task_retries);
         // The map->reduce stage barrier broke (a reducer ran while map
@@ -386,7 +396,7 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
       default:
         PSTK_CHECK_MSG(false, "unexpected MR message tag " << msg->tag);
     }
-    SweepDeadWorkers(ctx, job);
+    SweepDeadWorkers(job);
   }
 
   // Shut the workers down.
@@ -411,7 +421,17 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
   job.on_done(result);
 }
 
-void MrEngine::SweepDeadWorkers(sim::Context& ctx, Job& job) {
+void MrEngine::SweepDeadWorkers(Job& job) {
+  // A pass can only find something to requeue after one of these since
+  // the last pass: a worker of this job exited, a node failed, a task was
+  // handed out (perhaps to a worker that died with its request in flight),
+  // or a completion or fetch failure changed the task sets. Otherwise skip
+  // it: a pass checks every running task's worker and every done map.
+  const std::uint64_t failures = cluster_.node_failures();
+  if (!job.sweep_due && failures == job.swept_node_failures) return;
+  job.sweep_due = false;
+  job.swept_node_failures = failures;
+
   auto requeue_if_dead = [&](std::map<int, int>& running,
                              std::deque<int>& pending) {
     for (auto it = running.begin(); it != running.end();) {
@@ -445,7 +465,6 @@ void MrEngine::SweepDeadWorkers(sim::Context& ctx, Job& job) {
       ++it;
     }
   }
-  (void)ctx;
 }
 
 bool MrEngine::NoLiveWorkers(const Job& job) {
@@ -460,6 +479,12 @@ bool MrEngine::NoLiveWorkers(const Job& job) {
 // ---------------------------------------------------------------------------
 
 void MrEngine::WorkerMain(sim::Context& ctx, Job& job, int worker_id) {
+  // However this worker leaves (an exit assignment, job end, or a kill
+  // unwinding through here), the coordinator's next sweep must look again.
+  struct ExitMark {
+    Job& owner;
+    ~ExitMark() { owner.sweep_due = true; }
+  } exit_mark{job};
   net::Endpoint& ep = job.network->endpoint(1 + worker_id);
   const buf::Bytes my_id = serde::EncodeToBytes<std::int32_t>(worker_id);
   for (;;) {

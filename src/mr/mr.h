@@ -136,7 +136,7 @@ class MrEngine {
   void RunMapTask(sim::Context& ctx, Job& job, int worker_id, int map_id);
   void RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
                      int reduce_id);
-  void SweepDeadWorkers(sim::Context& ctx, Job& job);
+  void SweepDeadWorkers(Job& job);
   bool NoLiveWorkers(const Job& job);
   /// CPU charge for `records`/`bytes` of actual data, inflated to logical
   /// scale.

@@ -42,10 +42,16 @@ bool Network::HasEndpoint(int id) const {
 }
 
 std::vector<Endpoint::PendingInfo> Endpoint::Pending() const {
+  // The inbox is in delivery order; report in send order.
+  std::vector<const Message*> by_seq;
+  by_seq.reserve(inbox_.size());
+  for (const Message& m : inbox_) by_seq.push_back(&m);
+  std::sort(by_seq.begin(), by_seq.end(),
+            [](const Message* a, const Message* b) { return a->seq < b->seq; });
   std::vector<PendingInfo> pending;
-  pending.reserve(inbox_.size());
-  for (const Message& m : inbox_) {
-    pending.push_back(PendingInfo{m.src, m.tag, m.size});
+  pending.reserve(by_seq.size());
+  for (const Message* m : by_seq) {
+    pending.push_back(PendingInfo{m->src, m->tag, m->size});
   }
   return pending;
 }
@@ -113,25 +119,30 @@ void Endpoint::SendAsync(sim::Context& ctx, int dst, int tag,
 
 void Endpoint::Deposit(Message message) {
   const SimTime arrival = message.arrival;
-  inbox_.push_back(std::move(message));
+  // Keep the inbox in delivery order, (arrival, seq). Arrivals mostly grow
+  // with seq, so the insertion point is usually at or near the back.
+  const auto delivered_before = [](const Message& a, const Message& b) {
+    return a.arrival != b.arrival ? a.arrival < b.arrival : a.seq < b.seq;
+  };
+  inbox_.insert(std::upper_bound(inbox_.begin(), inbox_.end(), message,
+                                 delivered_before),
+                std::move(message));
   if (waiter_ != sim::kNoPid) {
     network_.engine_.Wake(waiter_, arrival);
   }
 }
 
 std::size_t Endpoint::FindMatch(int src, int tag) const {
-  // Earliest-arrival matching message; seq breaks ties (FIFO per pair).
-  std::size_t best = kNoMatch;
+  // The inbox is in (arrival, seq) order, so the first match is the
+  // earliest-arrival one, seq breaking ties (FIFO per pair).
   for (std::size_t i = 0; i < inbox_.size(); ++i) {
     const Message& m = inbox_[i];
-    if (src != kAnySource && m.src != src) continue;
-    if (tag != kAnyTag && m.tag != tag) continue;
-    if (best == kNoMatch || m.arrival < inbox_[best].arrival ||
-        (m.arrival == inbox_[best].arrival && m.seq < inbox_[best].seq)) {
-      best = i;
+    if ((src == kAnySource || m.src == src) &&
+        (tag == kAnyTag || m.tag == tag)) {
+      return i;
     }
   }
-  return best;
+  return kNoMatch;
 }
 
 void Endpoint::Reap() {

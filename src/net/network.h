@@ -87,8 +87,9 @@ class Endpoint {
   [[nodiscard]] int node() const { return node_; }
   [[nodiscard]] std::size_t inbox_size() const { return inbox_.size(); }
 
-  /// (src, tag, modeled size) of every message still in the inbox — used
-  /// by the verify layer to flag unmatched sends when the owner exits.
+  /// (src, tag, modeled size) of every message still in the inbox, in
+  /// send order — used by the verify layer to flag unmatched sends when
+  /// the owner exits.
   struct PendingInfo {
     int src;
     int tag;
@@ -120,7 +121,7 @@ class Endpoint {
   Network& network_;
   int id_;
   int node_;
-  std::deque<Message> inbox_;
+  std::deque<Message> inbox_;  // delivery order: (arrival, seq)
   sim::Pid waiter_ = sim::kNoPid;  // process parked in Recv, if any
   sim::Pid user_pid_ = sim::kNoPid;  // last process to use this endpoint
 };

@@ -235,7 +235,7 @@ TEST_F(AnswersCountIntegration, PaperPerformanceOrderingsHold) {
   // §V-C: Hadoop noticeably slower than Spark (disk-persisted
   // intermediates + per-task JVMs). The MPI-vs-Spark ordering is
   // size-dependent (fixed launcher costs dominate at this small test
-  // scale), so it is asserted in the Fig 4 benchmark, not here.
+  // scale), so the `fig4_answerscount --smoke` ctest asserts it, not here.
   EXPECT_GT(mr.elapsed, spark.elapsed);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "cluster/cluster.h"
@@ -71,16 +72,12 @@ std::map<std::string, std::int64_t> ParseOutput(MrFixture& f,
                                                 const std::string& dir,
                                                 int reducers) {
   std::map<std::string, std::int64_t> counts;
-  sim::Engine reader_engine;
-  // Read through a fresh process in the same engine is over; use Stat to
-  // fetch contents directly via a throwaway process in a new engine run is
-  // impossible — instead re-run a tiny process in the existing engine.
-  // Simpler: MiniDfs keeps content; spawn a reader process post-hoc.
   for (int r = 0; r < reducers; ++r) {
     const std::string path = dir + "/part-r-" + std::to_string(r);
     auto stat = f.dfs->Stat(path);
     if (!stat.ok()) continue;
-    // Pull the bytes without charging time: run one more engine pass.
+    // The job's run is over: read each part file back with one more
+    // process in a further run of the same engine.
     std::string content;
     f.engine.Spawn("post-reader", [&, path](sim::Context& ctx) {
       auto data = f.dfs->ReadAll(ctx, 0, path);
@@ -222,6 +219,103 @@ TEST(MrTest, NodeFailureMidJobRecovers) {
   std::int64_t total = 0;
   for (const auto& [word, count] : counts) total += count;
   EXPECT_EQ(total, 8000);  // 2 words x 4000 lines, nothing lost
+}
+
+TEST(MrTest, NodeLossAfterMapsDoneRecovers) {
+  // Every map has finished and the one reducer is still in its JVM launch,
+  // so the coordinator hears only wait-polls when node 2 fails. Node 2
+  // holds completed map outputs but no live worker (both were shrunk away
+  // earlier), so no worker exit, task hand-out or completion prompts the
+  // coordinator's sweep: only the node failure does.
+  MrFixture f(4);
+  MrOptions options;
+  options.jvm_startup_per_task = Seconds(1);
+  options.job_setup = Millis(100);
+  options.slots_per_node = 2;  // workers 4 and 5 run on node 2
+  f.mr = std::make_unique<MrEngine>(*f.cluster, *f.dfs, options);
+  const int lines = 4000;
+  ASSERT_TRUE(f.dfs->Install("/in/late.txt", WordCorpus(lines)).ok());
+
+  JobConf conf;
+  conf.input_path = "/in/late.txt";
+  conf.output_path = "/out/late";
+  // The last map to run reads the last input line; 100 ms later every map
+  // output is committed and the reducer is launching.
+  int mapped = 0;
+  SimTime failed_at = -1;
+  SimTime rerun_at = -1;
+  const MapFn word_count = WordCountMap();
+  MapFn map = [&](const std::string& line, Emitter& out) {
+    word_count(line, out);
+    if (++mapped == lines) {
+      failed_at = f.engine.now() + Millis(100);
+      f.cluster->FailNode(2, failed_at);
+    } else if (mapped == lines + 1) {
+      rerun_at = f.engine.now();
+    }
+  };
+  std::optional<Result<JobResult>> outcome;
+  const MrEngine::JobHandle job =
+      f.mr->Submit(conf, map, WordCountReduce(), std::nullopt,
+                   [&](Result<JobResult> r) { outcome = std::move(r); });
+  // By 1.5 s workers 4 and 5 have each committed a map and are launching
+  // their second.
+  f.engine.ScheduleEvent(1.5, [&] {
+    f.mr->KillWorker(job, 4);
+    f.mr->KillWorker(job, 5);
+  });
+  auto run = f.engine.Run();
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  ASSERT_GT(failed_at, 0);
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_TRUE(outcome->ok()) << outcome->status().ToString();
+  EXPECT_GT((*outcome)->counters.task_retries, 0u);
+  // The sweep requeues the lost maps at the next wait-poll, so one runs
+  // again about a JVM launch later. Leaving them to the reducer's fetch
+  // failure would add most of the reducer's own launch on top.
+  ASSERT_GT(rerun_at, failed_at);
+  EXPECT_LT(rerun_at - failed_at, options.jvm_startup_per_task + Millis(500));
+
+  auto counts = ParseOutput(f, "/out/late", 1);
+  std::int64_t total = 0;
+  for (const auto& [word, count] : counts) total += count;
+  EXPECT_EQ(total, 2 * lines);
+  EXPECT_EQ(counts.size(), 5u);
+}
+
+TEST(MrTest, ShrinkRequeuesTheLastRunningMap) {
+  // Elastic shrink kills the worker running the last map while the other
+  // worker only wait-polls. No node fails and nothing completes, so only
+  // the worker's exit can prompt the coordinator to requeue the map.
+  MrFixture f(2);
+  MrOptions options;
+  options.jvm_startup_per_task = Seconds(1);
+  options.job_setup = Millis(100);
+  options.slots_per_node = 1;
+  f.mr = std::make_unique<MrEngine>(*f.cluster, *f.dfs, options);
+  ASSERT_TRUE(f.dfs->Install("/in/shrink.txt", WordCorpus(500)).ok());
+
+  JobConf conf;  // three splits
+  conf.input_path = "/in/shrink.txt";
+  conf.output_path = "/out/shrink";
+  conf.write_output = false;
+  std::optional<Result<JobResult>> outcome;
+  const MrEngine::JobHandle job =
+      f.mr->Submit(conf, WordCountMap(), WordCountReduce(), std::nullopt,
+                   [&](Result<JobResult> r) { outcome = std::move(r); });
+  // Each worker commits a map at ~1.1 s; worker 0 then takes the third.
+  f.engine.ScheduleEvent(1.5, [&] { f.mr->KillWorker(job, 0); });
+  // A coordinator that never requeued would poll forever: end the run.
+  f.engine.ScheduleEvent(600, [&f] {
+    for (sim::Pid pid = 0; pid < f.engine.process_count(); ++pid) {
+      if (f.engine.IsAlive(pid)) f.engine.KillNow(pid);
+    }
+  });
+  ASSERT_TRUE(f.engine.Run().status.ok());
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_TRUE(outcome->ok()) << outcome->status().ToString();
+  EXPECT_EQ((*outcome)->counters.task_retries, 1u);
+  EXPECT_EQ((*outcome)->counters.map_tasks, 3u);
 }
 
 TEST(MrTest, JvmStartupDominatesSmallJobs) {

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/fabric.h"
 #include "net/network.h"
 #include "sim/engine.h"
@@ -333,6 +339,192 @@ TEST(NetworkTest, RecvWithTimeoutIgnoresNonMatching) {
   });
   ASSERT_TRUE(f.engine.Run().status.ok());
   EXPECT_FALSE(got);
+}
+
+// --------------------------------------------------------------------------
+// Endpoint matching against a reference model
+// --------------------------------------------------------------------------
+
+// Every pick of TryRecv, Probe and RecvWithTimeout must be the message a
+// plain reference picks: the least (arrival, seq) among the messages that
+// match the filter, and only once it has arrived. All messages are
+// deposited before the receiver starts. Shared-memory senders bypass the
+// NIC queue that remote ones wait in, so arrival order differs from
+// deposit order, and senders 1 and 2 run the same script on the
+// receiver's node, so their messages tie on arrival.
+TEST(NetworkTest, MatchingAgreesWithReferenceModel) {
+  constexpr int kSenders = 6;
+  constexpr int kPerSender = 50;
+  constexpr int kTotal = kSenders * kPerSender;
+  constexpr int kTags = 3;
+  const int sender_node[kSenders + 1] = {-1, 0, 0, 0, 1, 2, 3};
+
+  NetFixture f;
+  auto& rx = f.network.CreateEndpoint(0, 0);
+  int senders_done = 0;
+  for (int s = 1; s <= kSenders; ++s) {
+    auto& ep = f.network.CreateEndpoint(s, sender_node[s]);
+    f.engine.Spawn("sender" + std::to_string(s), [&ep, &senders_done,
+                                                 s](sim::Context& ctx) {
+      Rng rng(s == 2 ? 1 : s);
+      for (int i = 0; i < kPerSender; ++i) {
+        ctx.SleepFor(rng.Uniform(0, Micros(50)));
+        const int tag = static_cast<int>(rng.Below(kTags));
+        const Bytes modeled = Bytes{1} << rng.Below(27);  // 1 B .. 64 MiB
+        ep.SendAsync(ctx, 0, tag, Payload(std::to_string(s * 1000 + i)),
+                     modeled);
+      }
+      ++senders_done;
+    });
+  }
+
+  struct Pick {
+    enum Kind { kTry, kProbe, kTimeout } kind;
+    int src;
+    int tag;
+    SimTime before;
+    SimTime deadline;
+    SimTime after;
+    int got;  // message id; -1 for none (Probe: 1 if it matched)
+  };
+  struct Received {
+    int src;
+    int tag;
+    Bytes size;
+    SimTime arrival;
+    std::uint64_t seq;
+  };
+  std::vector<Pick> picks;
+  std::map<int, Received> received;  // by message id
+  SimTime drain_start = 0;
+  // Pending() snapshots, keyed by how many picks preceded them.
+  std::vector<std::pair<std::size_t, std::vector<Endpoint::PendingInfo>>>
+      snapshots;
+
+  f.engine.Spawn("receiver", [&](sim::Context& ctx) {
+    while (senders_done < kSenders) ctx.SleepFor(Micros(100));
+    drain_start = ctx.now();
+    Rng rng(42);
+    auto take = [&](const std::optional<Message>& m) {
+      if (!m.has_value()) return -1;
+      const int id = std::stoi(AsString(m->payload));
+      received[id] = Received{m->src, m->tag, m->size, m->arrival, m->seq};
+      return id;
+    };
+    for (int n = 0;
+         n < 20000 && received.size() < static_cast<std::size_t>(kTotal);
+         ++n) {
+      if (n == 0 || n == 400) {
+        snapshots.emplace_back(picks.size(), rx.Pending());
+      }
+      Pick p{};
+      p.kind = static_cast<Pick::Kind>(rng.Below(3));
+      p.src = rng.Bernoulli(0.3) ? kAnySource
+                                 : 1 + static_cast<int>(rng.Below(kSenders));
+      p.tag = rng.Bernoulli(0.3) ? kAnyTag : static_cast<int>(rng.Below(kTags));
+      p.before = ctx.now();
+      switch (p.kind) {
+        case Pick::kTry:
+          p.got = take(rx.TryRecv(ctx, p.src, p.tag));
+          break;
+        case Pick::kProbe:
+          p.got = rx.Probe(ctx, p.src, p.tag) ? 1 : -1;
+          break;
+        case Pick::kTimeout:
+          p.deadline = ctx.now() + rng.Uniform(0, Millis(5));
+          p.got = take(rx.RecvWithTimeout(ctx, p.deadline, p.src, p.tag));
+          break;
+      }
+      p.after = ctx.now();
+      picks.push_back(p);
+      if (rng.Bernoulli(0.1)) ctx.SleepFor(rng.Uniform(0, Millis(2)));
+    }
+  });
+  ASSERT_TRUE(f.engine.Run().status.ok());
+  ASSERT_EQ(received.size(), static_cast<std::size_t>(kTotal));
+
+  // The scenario must exercise arrival ties and messages still in flight.
+  std::map<SimTime, std::set<int>> senders_at;  // arrival -> sources
+  int in_flight = 0;
+  std::set<std::uint64_t> seqs;
+  for (const auto& [id, m] : received) {
+    senders_at[m.arrival].insert(m.src);
+    in_flight += m.arrival > drain_start ? 1 : 0;
+    seqs.insert(m.seq);
+  }
+  EXPECT_GT(std::count_if(senders_at.begin(), senders_at.end(),
+                          [](const auto& e) { return e.second.size() > 1; }),
+            0);
+  EXPECT_GT(in_flight, 0);
+  EXPECT_EQ(seqs.size(), received.size());
+
+  const TransportParams& tp = f.fabric->default_transport();
+  std::set<int> left;
+  for (const auto& [id, m] : received) left.insert(id);
+  auto reference = [&](int src, int tag) {
+    int best = -1;
+    for (int id : left) {
+      const Received& m = received.at(id);
+      if (src != kAnySource && m.src != src) continue;
+      if (tag != kAnyTag && m.tag != tag) continue;
+      const Received* b = best < 0 ? nullptr : &received.at(best);
+      if (b == nullptr || m.arrival < b->arrival ||
+          (m.arrival == b->arrival && m.seq < b->seq)) {
+        best = id;
+      }
+    }
+    return best;
+  };
+  auto snapshot = snapshots.begin();
+  for (std::size_t i = 0; i < picks.size(); ++i) {
+    if (snapshot != snapshots.end() && snapshot->first == i) {
+      std::vector<int> by_seq(left.begin(), left.end());
+      std::sort(by_seq.begin(), by_seq.end(), [&](int a, int b) {
+        return received.at(a).seq < received.at(b).seq;
+      });
+      ASSERT_EQ(snapshot->second.size(), by_seq.size());
+      for (std::size_t k = 0; k < by_seq.size(); ++k) {
+        const Received& m = received.at(by_seq[k]);
+        EXPECT_EQ(snapshot->second[k].src, m.src) << "pending #" << k;
+        EXPECT_EQ(snapshot->second[k].tag, m.tag) << "pending #" << k;
+        EXPECT_EQ(snapshot->second[k].bytes, m.size) << "pending #" << k;
+      }
+      ++snapshot;
+    }
+    const Pick& p = picks[i];
+    const int ref = reference(p.src, p.tag);
+    const SimTime ref_arrival = ref < 0 ? 0 : received.at(ref).arrival;
+    SCOPED_TRACE("pick " + std::to_string(i) + " kind " +
+                 std::to_string(p.kind) + " src " + std::to_string(p.src) +
+                 " tag " + std::to_string(p.tag));
+    switch (p.kind) {
+      case Pick::kProbe:
+        EXPECT_EQ(p.got == 1, ref >= 0 && ref_arrival <= p.before);
+        EXPECT_EQ(p.after, p.before);
+        continue;
+      case Pick::kTry:
+        EXPECT_EQ(p.got, ref >= 0 && ref_arrival <= p.before ? ref : -1);
+        break;
+      case Pick::kTimeout: {
+        const SimTime limit = std::max(p.before, p.deadline);
+        EXPECT_EQ(p.got, ref >= 0 && ref_arrival <= limit ? ref : -1);
+        if (p.got < 0) {
+          EXPECT_DOUBLE_EQ(p.after, limit);
+        }
+        break;
+      }
+    }
+    if (p.got < 0) continue;
+    // A receive wakes exactly at the arrival it waited for, then pays the
+    // receiver's per-message cost.
+    const Received& m = received.at(p.got);
+    EXPECT_DOUBLE_EQ(p.after,
+                     std::max(p.before, m.arrival) + tp.per_message_cpu +
+                         static_cast<double>(m.size) * tp.per_byte_cpu);
+    left.erase(p.got);
+  }
+  EXPECT_TRUE(snapshot == snapshots.end());
+  EXPECT_TRUE(left.empty());
 }
 
 // --------------------------------------------------------------------------
