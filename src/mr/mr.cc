@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -44,14 +45,34 @@ AssignMsg DecodeAssign(const buf::Bytes& buffer) {
   return msg;
 }
 
-using KvVec = std::vector<std::pair<std::string, std::string>>;
-
-class VectorEmitter : public Emitter {
+/// One map task's output: each record's key bytes and then its value bytes,
+/// back to back in one arena, plus a fixed-size entry per record. Sorting
+/// and partitioning move only the entries.
+class ArenaEmitter : public Emitter {
  public:
+  struct Record {
+    std::size_t offset;  // the key's first byte; the value follows it
+    std::uint32_t key_len;
+    std::uint32_t value_len;
+  };
+
   void Emit(std::string key, std::string value) override {
-    kvs.emplace_back(std::move(key), std::move(value));
+    PSTK_CHECK_MSG(key.size() <= UINT32_MAX && value.size() <= UINT32_MAX,
+                   "MR record field over 4 GiB");
+    records.push_back({arena.size(), static_cast<std::uint32_t>(key.size()),
+                       static_cast<std::uint32_t>(value.size())});
+    arena += key;
+    arena += value;
   }
-  KvVec kvs;
+  [[nodiscard]] std::string_view key(const Record& r) const {
+    return {arena.data() + r.offset, r.key_len};
+  }
+  [[nodiscard]] std::string_view value(const Record& r) const {
+    return {arena.data() + r.offset + r.key_len, r.value_len};
+  }
+
+  std::string arena;
+  std::vector<Record> records;
 };
 
 class LineEmitter : public Emitter {
@@ -67,23 +88,113 @@ class LineEmitter : public Emitter {
   std::uint64_t count = 0;
 };
 
-/// Group sorted KVs by key and feed them to `fn`.
-void GroupAndApply(const KvVec& sorted, const ReduceFn& fn, Emitter& out) {
-  std::size_t i = 0;
-  std::vector<std::string> values;
-  while (i < sorted.size()) {
-    const std::string& key = sorted[i].first;
-    values.clear();
-    while (i < sorted.size() && sorted[i].first == key) {
-      values.push_back(sorted[i].second);
-      ++i;
+/// Bytewise (key, value) order. string_view compares bytes as unsigned
+/// char, which is the total order pair<string, string>::operator< gives.
+bool RecordLess(std::string_view key_a, std::string_view value_a,
+                std::string_view key_b, std::string_view value_b) {
+  const int c = key_a.compare(key_b);
+  return c != 0 ? c < 0 : value_a < value_b;
+}
+
+/// Serialize one sorted partition straight from the arena, in the wire
+/// format of serde's vector<pair<string, string>>: a varint count, then a
+/// varint-length key and a varint-length value per record.
+buf::Bytes EncodePartition(const ArenaEmitter& out,
+                           const std::vector<ArenaEmitter::Record>& partition) {
+  std::size_t size = serde::VarintLen(partition.size());
+  for (const ArenaEmitter::Record& r : partition) {
+    size += serde::VarintLen(r.key_len) + r.key_len +
+            serde::VarintLen(r.value_len) + r.value_len;
+  }
+  serde::Writer w;
+  w.Reserve(size);
+  w.WriteVarint(partition.size());
+  for (const ArenaEmitter::Record& r : partition) {
+    const std::string_view key = out.key(r);
+    const std::string_view value = out.value(r);
+    w.WriteVarint(key.size());
+    w.WriteBytes(key.data(), key.size());
+    w.WriteVarint(value.size());
+    w.WriteBytes(value.data(), value.size());
+  }
+  return w.TakeBytes();
+}
+
+std::string_view ReadField(serde::Reader& r) {
+  auto len = r.ReadVarint();
+  PSTK_CHECK_MSG(len.ok(), "corrupt map output");
+  auto field = r.ReadView(len.value());
+  PSTK_CHECK_MSG(field.ok(), "corrupt map output");
+  return field.value();
+}
+
+/// One fetched map-output bucket (already sorted), decoded in place one
+/// record at a time. Holding the alias keeps the viewed bytes alive.
+struct Run {
+  explicit Run(buf::Bytes fetched)
+      : bucket(std::move(fetched)), reader(bucket) {
+    auto count = reader.ReadVarint();
+    // Every record takes at least its two length bytes.
+    PSTK_CHECK_MSG(count.ok() && count.value() <= reader.remaining() / 2,
+                   "corrupt map output");
+    left = count.value();
+  }
+  /// Decode the next record into key/value; false once the run is done.
+  bool Next() {
+    if (left == 0) {
+      PSTK_CHECK_MSG(reader.AtEnd(), "corrupt map output");
+      return false;
     }
+    --left;
+    key = ReadField(reader);
+    value = ReadField(reader);
+    return true;
+  }
+
+  buf::Bytes bucket;
+  serde::Reader reader;
+  std::uint64_t left = 0;  // records not yet decoded
+  std::string_view key;    // the current record
+  std::string_view value;
+};
+
+/// K-way merge the sorted runs and feed each key's values to `fn`. The
+/// key and value strings are refilled by assignment, reusing capacity.
+void MergeAndApply(std::vector<Run>& runs, const ReduceFn& fn, Emitter& out) {
+  // Min-heap of runs by current record.
+  const auto after = [](const Run* a, const Run* b) {
+    return RecordLess(b->key, b->value, a->key, a->value);
+  };
+  std::vector<Run*> heap;
+  for (Run& run : runs) {
+    if (run.Next()) heap.push_back(&run);
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  std::string key;
+  std::vector<std::string> values;
+  while (!heap.empty()) {
+    key.assign(heap.front()->key);
+    std::size_t n = 0;
+    while (!heap.empty() && heap.front()->key == key) {
+      std::pop_heap(heap.begin(), heap.end(), after);
+      Run* run = heap.back();
+      if (n == values.size()) values.emplace_back();
+      values[n++].assign(run->value);
+      if (run->Next()) {
+        std::push_heap(heap.begin(), heap.end(), after);
+      } else {
+        heap.pop_back();
+      }
+    }
+    values.resize(n);
     fn(key, values, out);
   }
 }
 
-std::uint64_t HashKey(const std::string& key) {
-  return std::hash<std::string>{}(key);
+std::uint64_t HashKey(std::string_view key) {
+  // Equal to std::hash<std::string> of the same bytes, as the standard
+  // requires, so every record goes to the same reducer as a string key.
+  return std::hash<std::string_view>{}(key);
 }
 
 }  // namespace
@@ -544,12 +655,14 @@ void MrEngine::RunMapTask(sim::Context& ctx, Job& job, int worker_id,
     throw sim::ProcessKilled{};  // task attempt dies; coordinator requeues
   }
 
-  // Map over every input line (a zero-copy view of the stored block).
-  VectorEmitter collected;
+  // Map over every input line (a zero-copy view of the stored block). The
+  // map function takes a std::string, so one line buffer is refilled.
+  ArenaEmitter collected;
   std::uint64_t records = 0;
   {
     sim::Scope map_scope(ctx, tags_.map_map, tags_.time_map);
     std::string_view rest = block.value().view();
+    std::string line_buffer;
     while (!rest.empty()) {
       const auto nl = rest.find('\n');
       const std::string_view line =
@@ -558,13 +671,14 @@ void MrEngine::RunMapTask(sim::Context& ctx, Job& job, int worker_id,
                                           : rest.substr(nl + 1);
       if (line.empty()) continue;
       ++records;
-      job.map(std::string(line), collected);
+      line_buffer.assign(line);
+      job.map(line_buffer, collected);
     }
     ChargeRecords(ctx, records, block.value().size(),
                   options_.map_cpu_per_record);
   }
   job.counters.input_records += records;
-  job.counters.map_output_records += collected.kvs.size();
+  job.counters.map_output_records += collected.records.size();
 
   // Map-side combine *before* partitioning and sorting: one hash pass
   // groups all values per key (every key's values are complete within a
@@ -572,33 +686,50 @@ void MrEngine::RunMapTask(sim::Context& ctx, Job& job, int worker_id,
   // hit the sort. Values are sorted within each group so the combiner sees
   // the same grouped-and-ordered input Hadoop's sorted pipeline would give
   // it (and the spilled bytes are identical to combine-after-sort).
-  const int R = job.conf.num_reducers;
-  std::vector<KvVec> partitions(static_cast<std::size_t>(R));
+  using Record = ArenaEmitter::Record;
+  const auto R = static_cast<std::size_t>(job.conf.num_reducers);
+  std::vector<std::vector<Record>> partitions(R);
   {
     sim::Scope sort_scope(ctx, tags_.map_sort, tags_.time_sort);
-    if (job.combine.has_value() && !collected.kvs.empty()) {
-      std::unordered_map<std::string, std::vector<std::string>> groups;
-      groups.reserve(collected.kvs.size());
-      for (auto& kv : collected.kvs) {
-        groups[std::move(kv.first)].push_back(std::move(kv.second));
+    if (job.combine.has_value() && !collected.records.empty()) {
+      ArenaEmitter combined;
+      {
+        std::unordered_map<std::string_view, std::vector<const Record*>>
+            groups;
+        groups.reserve(collected.records.size());
+        for (const Record& r : collected.records) {
+          groups[collected.key(r)].push_back(&r);
+        }
+        // Linear hash-aggregation pass over the pre-combine records.
+        ChargeRecords(ctx, collected.records.size(), 0,
+                      options_.sort_cpu_per_record);
+        std::string key;
+        std::vector<std::string> values;
+        for (auto& [group_key, group] : groups) {
+          std::sort(group.begin(), group.end(),
+                    [&](const Record* a, const Record* b) {
+                      return collected.value(*a) < collected.value(*b);
+                    });
+          key.assign(group_key);
+          values.resize(group.size());
+          for (std::size_t i = 0; i < group.size(); ++i) {
+            values[i].assign(collected.value(*group[i]));
+          }
+          (*job.combine)(key, values, combined);
+        }
       }
-      // Linear hash-aggregation pass over the pre-combine records.
-      ChargeRecords(ctx, collected.kvs.size(), 0,
-                    options_.sort_cpu_per_record);
-      VectorEmitter combined;
-      for (auto& [key, values] : groups) {
-        std::sort(values.begin(), values.end());
-        (*job.combine)(key, values, combined);
-      }
-      collected.kvs = std::move(combined.kvs);
+      collected = std::move(combined);
     }
-    for (auto& kv : collected.kvs) {
-      partitions[HashKey(kv.first) % static_cast<std::size_t>(R)].push_back(
-          std::move(kv));
+    for (const Record& r : collected.records) {
+      partitions[HashKey(collected.key(r)) % R].push_back(r);
     }
     std::uint64_t sort_records = 0;
     for (auto& partition : partitions) {
-      std::sort(partition.begin(), partition.end());
+      std::sort(partition.begin(), partition.end(),
+                [&](const Record& a, const Record& b) {
+                  return RecordLess(collected.key(a), collected.value(a),
+                                    collected.key(b), collected.value(b));
+                });
       sort_records += partition.size();
     }
     const double log_factor =
@@ -615,8 +746,8 @@ void MrEngine::RunMapTask(sim::Context& ctx, Job& job, int worker_id,
   {
     sim::Scope spill_scope(ctx, tags_.map_spill, tags_.time_spill);
     Bytes spilled = 0;
-    for (auto& partition : partitions) {
-      buf::Bytes buffer = serde::EncodeToBytes(partition);
+    for (const auto& partition : partitions) {
+      buf::Bytes buffer = EncodePartition(collected, partition);
       spilled += buffer.size();
       output.partitions.push_back(std::move(buffer));
     }
@@ -641,32 +772,40 @@ void MrEngine::RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
   ctx.SleepFor(options_.jvm_startup_per_task);
 
   // Shuffle: fetch this reducer's bucket from every map output.
-  KvVec merged;
+  std::vector<Run> runs;
+  std::uint64_t records = 0;
   std::vector<std::int32_t> missing;
   Bytes fetched_bytes = 0;
   std::size_t fetched_outputs = 0;
   {
     sim::Scope shuffle_scope(ctx, tags_.reduce_shuffle, tags_.time_shuffle);
-    for (const auto& [map_id, output] : job.map_outputs) {
-      if (cluster_.NodeFailed(output.node)) {
+    auto it = job.map_outputs.begin();
+    while (it != job.map_outputs.end()) {
+      const int map_id = it->first;
+      const int source = it->second.node;
+      if (cluster_.NodeFailed(source)) {
         missing.push_back(map_id);
+        ++it;
         continue;
       }
-      const buf::Bytes& bucket =
-          output.partitions[static_cast<std::size_t>(reduce_id)];
+      // Alias the bucket before the modeled fetch: the coordinator's sweep
+      // may erase this output while the reducer sleeps, so neither `it` nor
+      // a reference into the output survives the sleep.
+      buf::Bytes bucket =
+          it->second.partitions[static_cast<std::size_t>(reduce_id)];
       const Bytes modeled = cluster_.Modeled(bucket.size());
-      SimTime t = cluster_.scratch_disk(output.node)->Read(modeled, ctx.now());
-      if (output.node != node) {
-        const auto times = fabric_->Transfer(output.node, node, modeled, t);
+      SimTime t = cluster_.scratch_disk(source)->Read(modeled, ctx.now());
+      if (source != node) {
+        const auto times = fabric_->Transfer(source, node, modeled, t);
         ctx.Compute(times.receiver_cpu);
         t = times.arrival;
       }
       ctx.SleepUntil(t);
+      it = job.map_outputs.upper_bound(map_id);
       fetched_bytes += modeled;
       ++fetched_outputs;
-      auto kvs = serde::DecodeFromBytes<KvVec>(bucket);
-      PSTK_CHECK_MSG(kvs.ok(), "corrupt map output");
-      merged.insert(merged.end(), kvs.value().begin(), kvs.value().end());
+      runs.emplace_back(std::move(bucket));
+      records += runs.back().left;
     }
   }
   job.counters.shuffled_bytes += fetched_bytes;
@@ -681,19 +820,18 @@ void MrEngine::RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
     return;
   }
 
-  // Merge (sort) — Hadoop does an on-disk multi-way merge: one pass of
-  // write+read of the full bucket set on local disk plus sort CPU.
+  // Merge — Hadoop does an on-disk multi-way merge: one pass of write+read
+  // of the full bucket set on local disk plus sort CPU. Every bucket is
+  // sorted already, so the host merges them by view as it reduces.
   {
     sim::Scope merge_scope(ctx, tags_.reduce_merge, tags_.time_merge);
     SimTime t = cluster_.scratch_disk(node)->Write(fetched_bytes, ctx.now());
     t = cluster_.scratch_disk(node)->Read(fetched_bytes, t);
     ctx.SleepUntil(t);
-    std::sort(merged.begin(), merged.end());
     const double log_factor =
-        merged.size() > 1 ? std::log2(static_cast<double>(merged.size()))
-                          : 1.0;
+        records > 1 ? std::log2(static_cast<double>(records)) : 1.0;
     ChargeRecords(ctx, static_cast<std::uint64_t>(
-                           static_cast<double>(merged.size()) * log_factor),
+                           static_cast<double>(records) * log_factor),
                   0, options_.sort_cpu_per_record);
   }
 
@@ -701,8 +839,8 @@ void MrEngine::RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
   LineEmitter out;
   {
     sim::Scope reduce_scope(ctx, tags_.reduce_reduce, tags_.time_reduce);
-    GroupAndApply(merged, job.reduce, out);
-    ChargeRecords(ctx, merged.size(), 0, options_.map_cpu_per_record);
+    MergeAndApply(runs, job.reduce, out);
+    ChargeRecords(ctx, records, 0, options_.map_cpu_per_record);
   }
   job.counters.reduce_output_records += out.count;
 

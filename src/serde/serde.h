@@ -6,9 +6,11 @@
 // pair/tuple/vector/string composition of supported types.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -85,6 +87,16 @@ class Reader {
     std::memcpy(out, data_ + pos_, size);
     pos_ += size;
     return OkStatus();
+  }
+
+  /// Zero-copy read: a view of the next `size` bytes, valid as long as the
+  /// underlying buffer. Fails without moving the cursor if fewer remain.
+  Result<std::string_view> ReadView(std::size_t size) {
+    if (size > remaining()) return OutOfRange("serde: buffer underrun");
+    const std::string_view view(reinterpret_cast<const char*>(data_ + pos_),
+                                size);
+    pos_ += size;
+    return view;
   }
 
   template <typename T>
@@ -271,7 +283,12 @@ struct Codec<std::vector<T>> {
     auto len = r.ReadVarint();
     if (!len.ok()) return len.status();
     out.clear();
-    out.reserve(static_cast<std::size_t>(len.value()));
+    // The count comes from the payload: never reserve more elements than
+    // there are bytes left. Every built-in element but std::tuple<> takes
+    // at least one byte, so a hostile count fails in the element decode
+    // below instead of in the allocation.
+    out.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(len.value(), r.remaining())));
     for (std::uint64_t i = 0; i < len.value(); ++i) {
       T elem{};
       PSTK_RETURN_IF_ERROR(Codec<T>::Decode(r, elem));

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "dfs/dfs.h"
 #include "mr/mr.h"
+#include "obs/obs.h"
+#include "serde/serde.h"
 #include "sim/engine.h"
 
 namespace pstk::mr {
@@ -281,6 +287,240 @@ TEST(MrTest, NodeLossAfterMapsDoneRecovers) {
   for (const auto& [word, count] : counts) total += count;
   EXPECT_EQ(total, 2 * lines);
   EXPECT_EQ(counts.size(), 5u);
+}
+
+TEST(MrTest, NodeLossDuringReducerFetch) {
+  // A node fails while the one reducer fetches a map output from it, and
+  // the coordinator's sweep drops that output before the fetch ends. The
+  // reducer must not touch the dropped output and must carry on with the
+  // outputs after it. The failure time comes from a fault-free run's fetch
+  // timeline.
+  constexpr int kLines = 4000;
+  constexpr int kNodes = 4;
+  dfs::DfsOptions blocks;
+  blocks.block_size = 32 * kMiB;
+  const auto submit = [](MrFixture& f,
+                         std::optional<Result<JobResult>>& outcome) {
+    ASSERT_TRUE(f.dfs->Install("/in/fetch.txt", WordCorpus(kLines)).ok());
+    JobConf conf;
+    conf.input_path = "/in/fetch.txt";
+    conf.output_path = "/out/fetch";
+    f.mr->Submit(conf, WordCountMap(), WordCountReduce(), std::nullopt,
+                 [&outcome](Result<JobResult> r) { outcome = std::move(r); });
+  };
+
+  // Fault-free and traced. The reducer sleeps once per fetch, in map id
+  // order, so its wake-ups inside the shuffle span end the fetches. Every
+  // other process's dispatch is kept too: any of them means the coordinator
+  // hears a message (and sweeps) at about that time.
+  SimTime shuffle_begin = -1;
+  int reducer_node = -1;
+  std::vector<SimTime> fetch_end;
+  std::vector<std::pair<SimTime, int>> others;  // (dispatch time, node)
+  {
+    MrFixture f(kNodes, 1e-4, blocks);
+    f.engine.obs().Enable(true);
+    std::optional<Result<JobResult>> outcome;
+    submit(f, outcome);
+    ASSERT_TRUE(f.engine.Run().status.ok());
+    ASSERT_TRUE(outcome.has_value() && outcome->ok());
+    obs::Registry& reg = f.engine.obs();
+    const obs::TagId shuffle = reg.Intern("mr.reduce.shuffle");
+    const obs::TagId run = reg.Intern("run");
+    std::uint32_t reducer = 0;
+    SimTime shuffle_end = -1;
+    for (const obs::Event& e : reg.events()) {
+      if (e.tag != shuffle) continue;
+      if (e.phase == obs::Phase::kBegin) {
+        shuffle_begin = e.time;
+        reducer = e.track;
+        reducer_node = e.node;
+      } else if (e.phase == obs::Phase::kEnd) {
+        shuffle_end = e.time;
+      }
+    }
+    for (const obs::Event& e : reg.events()) {
+      if (e.tag != run || e.phase != obs::Phase::kBegin) continue;
+      if (e.track != reducer) {
+        others.emplace_back(e.time, e.node);
+      } else if (e.time > shuffle_begin && e.time <= shuffle_end) {
+        fetch_end.push_back(e.time);
+      }
+    }
+    ASSERT_EQ(fetch_end.size(), (*outcome)->counters.map_tasks);
+  }
+
+  // The same run with probes between fetches: the scratch disk whose reads
+  // grow during a fetch is its source. Every map is done before the reducer
+  // is even launched, so nothing else reads them.
+  std::vector<int> source;
+  {
+    MrFixture f(kNodes, 1e-4, blocks);
+    std::optional<Result<JobResult>> outcome;
+    submit(f, outcome);
+    std::vector<std::vector<Bytes>> probes;
+    const auto probe = [&f, &probes] {
+      std::vector<Bytes> reads;
+      for (int n = 0; n < kNodes; ++n) {
+        reads.push_back(f.cluster->scratch_disk(n)->bytes_read());
+      }
+      probes.push_back(std::move(reads));
+    };
+    f.engine.ScheduleEvent(shuffle_begin - Millis(1), probe);
+    SimTime start = shuffle_begin;
+    for (const SimTime end : fetch_end) {
+      f.engine.ScheduleEvent((start + end) / 2, probe);
+      start = end;
+    }
+    ASSERT_TRUE(f.engine.Run().status.ok());
+    ASSERT_EQ(probes.size(), fetch_end.size() + 1);
+    for (std::size_t k = 0; k < fetch_end.size(); ++k) {
+      int grew = -1;
+      for (int n = 0; n < kNodes; ++n) {
+        if (probes[k + 1][n] == probes[k][n]) continue;
+        ASSERT_EQ(grew, -1) << "fetch " << k << " read two disks";
+        grew = n;
+      }
+      ASSERT_NE(grew, -1) << "fetch " << k << " read no disk";
+      source.push_back(grew);
+    }
+  }
+
+  // Fail the source of the first fetch from a node that hosts neither the
+  // coordinator (node 0) nor the reducer, just after the fetch starts, so
+  // that another process runs before the fetch ends.
+  int victim = -1;
+  SimTime fail_at = -1;
+  SimTime start = shuffle_begin;
+  for (std::size_t k = 0; k < fetch_end.size() && victim < 0; ++k) {
+    const SimTime at = start + 0.1 * (fetch_end[k] - start);
+    const bool polled =
+        std::any_of(others.begin(), others.end(), [&](const auto& other) {
+          return other.first > at && other.first < fetch_end[k] &&
+                 other.second != source[k];
+        });
+    if (source[k] != 0 && source[k] != reducer_node && polled) {
+      victim = source[k];
+      fail_at = at;
+    }
+    start = fetch_end[k];
+  }
+  ASSERT_GE(victim, 0) << "no remote fetch overlaps another process";
+
+  MrFixture f(kNodes, 1e-4, blocks);
+  std::optional<Result<JobResult>> outcome;
+  submit(f, outcome);
+  // The DFS hears of the failure at fail_at through its cluster
+  // subscription; calling it directly now would re-place blocks up front.
+  f.cluster->FailNode(victim, fail_at);
+  const auto run = f.engine.Run();
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_TRUE(outcome->ok()) << outcome->status().ToString();
+  EXPECT_GT((*outcome)->counters.task_retries, 0u);
+  auto counts = ParseOutput(f, "/out/fetch", 1);
+  std::int64_t total = 0;
+  for (const auto& [word, count] : counts) total += count;
+  EXPECT_EQ(total, 2 * kLines);
+}
+
+TEST(MrTest, ReducerInputOrderAndSpillFormat) {
+  // One split, three reducers, no combiner. Each reducer must get its keys
+  // in ascending unsigned-byte order, each with all its values sorted, and
+  // the spill must be serde's vector<pair<string, string>> encoding of each
+  // hash partition.
+  const std::string prefix(200, 'p');
+  std::vector<std::pair<std::string, std::string>> emitted = {
+      {"", ""},
+      {"", "empty key"},
+      {"empty value", ""},
+      {"long", std::string(300, 'v')},
+      {"long", std::string(128, 'w')},
+      {"long", "short"},
+      {"dup", "same"},
+      {"dup", "other"},
+      {"dup", "same"},
+      {prefix, "p"},
+      {prefix + "b", "pb"},
+      {prefix + "a", "pa"},
+      {prefix + "a", "pa"},
+  };
+  for (int i = 0; i < 8; ++i) {
+    const std::string n = std::to_string(i);
+    emitted.emplace_back("k" + n, "z" + n);
+    emitted.emplace_back("k" + n, "\x80" + n);
+    emitted.emplace_back("k" + n, "a" + n);
+    emitted.emplace_back("\xc3\xa9t\xc3\xa9" + n, n);  // "été": bytes >= 0x80
+    emitted.emplace_back("\xff" + n, n);
+    emitted.emplace_back(prefix + "\x80" + n, n);
+  }
+
+  MrFixture f;
+  ASSERT_TRUE(f.dfs->Install("/in/one.txt", "go\n").ok());
+  JobConf conf;
+  conf.input_path = "/in/one.txt";
+  conf.output_path = "/out/one";
+  conf.num_reducers = 3;
+  conf.write_output = false;
+  const MapFn map = [&emitted](const std::string&, Emitter& out) {
+    for (const auto& [key, value] : emitted) out.Emit(key, value);
+  };
+  std::vector<std::pair<std::string, std::vector<std::string>>> calls;
+  const ReduceFn reduce = [&calls](const std::string& key,
+                                   const std::vector<std::string>& values,
+                                   Emitter&) {
+    calls.emplace_back(key, values);
+  };
+  auto result = f.mr->RunJob(conf, map, reduce);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->counters.map_tasks, 1u);
+
+  const auto unsigned_less = [](const std::string& a, const std::string& b) {
+    return std::lexicographical_compare(
+        a.begin(), a.end(), b.begin(), b.end(), [](char x, char y) {
+          return static_cast<unsigned char>(x) < static_cast<unsigned char>(y);
+        });
+  };
+  const auto reducer_of = [](const std::string& key) {
+    return std::hash<std::string>{}(key) % 3;
+  };
+  std::map<std::string, std::vector<std::string>> expected;
+  for (const auto& [key, value] : emitted) expected[key].push_back(value);
+  for (auto& [key, values] : expected) {
+    std::sort(values.begin(), values.end(), unsigned_less);
+  }
+
+  // Each reducer owns one hash partition, so the calls on a partition's
+  // keys, in call order, are exactly what that reducer was given.
+  ASSERT_EQ(calls.size(), expected.size());
+  std::vector<std::vector<std::string>> keys(3);
+  for (const auto& [key, values] : calls) {
+    keys[reducer_of(key)].push_back(key);
+    EXPECT_EQ(values, expected[key]) << "key " << key;
+  }
+  bool mixed = false;  // some reducer gets ASCII and high-byte keys
+  for (const auto& reducer_keys : keys) {
+    for (std::size_t i = 1; i < reducer_keys.size(); ++i) {
+      EXPECT_TRUE(unsigned_less(reducer_keys[i - 1], reducer_keys[i]))
+          << reducer_keys[i - 1] << " before " << reducer_keys[i];
+    }
+    const auto high = [](const std::string& key) {
+      return !key.empty() && static_cast<unsigned char>(key[0]) >= 0x80;
+    };
+    mixed |= std::any_of(reducer_keys.begin(), reducer_keys.end(), high) &&
+             !std::all_of(reducer_keys.begin(), reducer_keys.end(), high);
+  }
+  EXPECT_TRUE(mixed);
+
+  std::vector<std::vector<std::pair<std::string, std::string>>> partitions(3);
+  for (const auto& kv : emitted) partitions[reducer_of(kv.first)].push_back(kv);
+  Bytes spilled = 0;
+  for (auto& partition : partitions) {
+    std::sort(partition.begin(), partition.end());
+    spilled += serde::EncodedSize(partition);
+  }
+  EXPECT_EQ(result->counters.spilled_bytes, spilled);
+  EXPECT_EQ(result->counters.shuffled_bytes, spilled);
 }
 
 TEST(MrTest, ShrinkRequeuesTheLastRunningMap) {

@@ -93,6 +93,34 @@ TEST(SerdeTest, CorruptStringLengthDetected) {
   EXPECT_EQ(res.status().code(), StatusCode::kOutOfRange);
 }
 
+TEST(SerdeTest, HostileVectorCountsFailCleanly) {
+  // A count the payload cannot back must fail the decode, not the
+  // allocation: 10^9 strings in a 5-byte payload, then 2^62 strings.
+  for (const std::uint64_t count : {std::uint64_t{1'000'000'000},
+                                    std::uint64_t{1} << 62}) {
+    Writer w;
+    w.WriteVarint(count);
+    auto res = DecodeFromBuffer<std::vector<std::string>>(w.buffer());
+    ASSERT_FALSE(res.ok()) << count;
+    EXPECT_EQ(res.status().code(), StatusCode::kOutOfRange) << count;
+  }
+}
+
+TEST(SerdeTest, ReadViewPastEndLeavesCursor) {
+  const Buffer buf = {'a', 'b', 'c'};
+  Reader r(buf);
+  auto past = r.ReadView(4);
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(r.remaining(), 3u);
+  auto first = r.ReadView(2);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value(), "ab");
+  EXPECT_FALSE(r.ReadView(2).ok());
+  EXPECT_EQ(r.ReadView(1).value(), "c");
+  EXPECT_TRUE(r.AtEnd());
+}
+
 TEST(SerdeTest, EncodedSizeMatchesBuffer) {
   const std::vector<std::string> v{"abc", "defg"};
   EXPECT_EQ(EncodedSize(v), EncodeToBuffer(v).size());
