@@ -12,16 +12,8 @@
 // reasonable ask of the host — while the fiber backend runs the full
 // sweep.
 //
-// Sharded cells run the same storm partitioned across N conservative-PDES
-// shards (one scheduler thread each, node = proc % shards): all churn is
-// shard-local, plus one ack-paced cross-shard ping ring forcing real
-// synchronization windows, so "dispatch/s" is the *aggregate* throughput
-// of N schedulers. The 10^6-process cell is wave-structured (10^4
-// processes start per virtual-time epoch) so live fiber stacks stay
-// bounded while every process still runs the full churn.
-//
 // Flags:
-//   --smoke            small sizes (both backends + sharded), for ctest
+//   --smoke            small sizes (both backends), for ctest
 //   --out=<file>       write machine-readable results (BENCH_engine.json)
 //   --baseline=<file>  compare smoke throughput against a checked-in
 //                      BENCH_engine.baseline.json and exit nonzero on a
@@ -33,7 +25,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -45,7 +36,6 @@
 
 namespace {
 
-using pstk::SimTime;
 using pstk::sim::Backend;
 using pstk::sim::Context;
 using pstk::sim::Engine;
@@ -53,7 +43,6 @@ using pstk::sim::Pid;
 
 struct StormResult {
   Backend backend;
-  int shards = 1;
   std::size_t procs = 0;
   std::size_t rounds = 0;
   std::uint64_t dispatches = 0;
@@ -65,7 +54,7 @@ struct StormResult {
 
 // Every storm process runs this: `rounds` iterations alternating Yield()
 // (ready-heap churn) with a Block() woken by a same-instant scheduled
-// event (event-heap churn + wake decrease-key). Entirely shard-local.
+// event (event-heap churn + wake decrease-key).
 pstk::sim::ProcessBody StormBody(std::size_t rounds) {
   return [rounds](Context& ctx) {
     for (std::size_t r = 0; r < rounds; ++r) {
@@ -105,93 +94,14 @@ StormResult RunStorm(Backend backend, std::size_t procs, std::size_t rounds) {
   return out;
 }
 
-// Sharded storm: `procs` storm processes spread round-robin across
-// `shards` shards, started in waves of `wave` (one virtual second apart)
-// so at most ~one wave of fiber stacks is live at a time, plus an
-// ack-paced ping ring with one pinger/ponger pair per shard so every
-// window really crosses shard boundaries. Lookahead is a constant 1
-// virtual second (the production derivation from the modeled interconnect
-// is net::ShardLookahead; the storm has no fabric).
-StormResult RunShardedStorm(int shards, std::size_t procs, std::size_t rounds,
-                            std::size_t wave) {
-  constexpr SimTime kLookahead = 1.0;
-  const auto t0 = std::chrono::steady_clock::now();
-  pstk::sim::ShardOptions opts;
-  opts.shards = shards;
-  opts.lookahead = [](int, int) { return kLookahead; };
-  Engine engine(/*seed=*/42, Backend::kFibers, std::move(opts));
-  for (std::size_t i = 0; i < procs; ++i) {
-    const auto start = static_cast<SimTime>(i / wave);
-    engine.SpawnAt(start, "storm." + std::to_string(i), StormBody(rounds),
-                   /*node=*/static_cast<int>(i % static_cast<std::size_t>(
-                                                     shards)));
-  }
-  std::size_t ring = 0;
-  if (shards > 1) {
-    // Ping ring (see tests/sim_test.cc): pinger on shard s plays against
-    // the ponger on shard s+1; each side parks before its peer's wake
-    // lands, which the conservative protocol requires.
-    constexpr int kPings = 4;
-    // shared_ptr, not stack vectors: these captures outlive this block —
-    // the bodies only run inside engine.Run() below.
-    auto pingers = std::make_shared<std::vector<Pid>>(
-        static_cast<std::size_t>(shards), pstk::sim::kNoPid);
-    auto pongers = std::make_shared<std::vector<Pid>>(
-        static_cast<std::size_t>(shards), pstk::sim::kNoPid);
-    for (int s = 0; s < shards; ++s) {
-      (*pongers)[static_cast<std::size_t>(s)] = engine.Spawn(
-          "pong." + std::to_string(s),
-          [pingers, s, shards](Context& ctx) {
-            const Pid peer =
-                (*pingers)[static_cast<std::size_t>((s + shards - 1) % shards)];
-            for (int k = 0; k < kPings; ++k) {
-              const SimTime woken = ctx.Block("await ping");
-              ctx.engine().Wake(peer, woken + kLookahead);
-            }
-          },
-          /*node=*/s);
-    }
-    for (int s = 0; s < shards; ++s) {
-      (*pingers)[static_cast<std::size_t>(s)] = engine.Spawn(
-          "ping." + std::to_string(s),
-          [pongers, s, shards](Context& ctx) {
-            const Pid peer =
-                (*pongers)[static_cast<std::size_t>((s + 1) % shards)];
-            for (int k = 0; k < kPings; ++k) {
-              ctx.Compute(0.25);
-              ctx.engine().Wake(peer, ctx.now() + kLookahead);
-              ctx.Block("await pong");
-            }
-          },
-          /*node=*/s);
-    }
-    ring = 2 * static_cast<std::size_t>(shards);
-  }
-  const auto result = engine.Run();
-  const auto t1 = std::chrono::steady_clock::now();
-  PSTK_CHECK_MSG(result.status.ok(), "sharded storm failed: "
-                                         << result.status.ToString());
-  PSTK_CHECK_MSG(result.completed == procs + ring,
-                 "sharded storm lost processes");
-  StormResult out;
-  out.backend = Backend::kFibers;
-  out.shards = shards;
-  out.procs = procs;
-  out.rounds = rounds;
-  out.dispatches = engine.obs().CounterByName("sim.dispatches");
-  out.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  return out;
-}
-
 void AppendJson(std::string* json, const StormResult& r) {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
-                "    {\"backend\": \"%s\", \"shards\": %d, \"procs\": %zu, "
+                "    {\"backend\": \"%s\", \"procs\": %zu, "
                 "\"rounds\": %zu, \"dispatches\": %" PRIu64
                 ", \"wall_s\": %.6f, \"dispatch_per_s\": %.0f}",
                 std::string(pstk::sim::BackendName(r.backend)).c_str(),
-                r.shards, r.procs, r.rounds, r.dispatches, r.wall_s,
-                r.DispatchPerSec());
+                r.procs, r.rounds, r.dispatches, r.wall_s, r.DispatchPerSec());
   if (!json->empty()) *json += ",\n";
   *json += buf;
 }
@@ -244,15 +154,13 @@ int main(int argc, char** argv) {
   std::string json;
   std::vector<StormResult> fiber_results;
   std::vector<StormResult> thread_results;
-  std::vector<StormResult> sharded_results;
   std::printf("host cores: %u\n", host_cores);
-  std::printf("%-8s %7s %9s %7s %12s %9s %14s\n", "backend", "shards",
-              "procs", "rounds", "dispatches", "wall_s", "dispatch/s");
+  std::printf("%-8s %9s %7s %12s %9s %14s\n", "backend", "procs", "rounds",
+              "dispatches", "wall_s", "dispatch/s");
   auto print_row = [](const StormResult& r) {
-    std::printf("%-8s %7d %9zu %7zu %12" PRIu64 " %9.3f %14.0f\n",
+    std::printf("%-8s %9zu %7zu %12" PRIu64 " %9.3f %14.0f\n",
                 std::string(pstk::sim::BackendName(r.backend)).c_str(),
-                r.shards, r.procs, r.rounds, r.dispatches, r.wall_s,
-                r.DispatchPerSec());
+                r.procs, r.rounds, r.dispatches, r.wall_s, r.DispatchPerSec());
   };
   for (const Cell& cell : cells) {
     for (const Backend backend : {Backend::kFibers, Backend::kThreads}) {
@@ -266,33 +174,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sharded cells: aggregate throughput of N parallel schedulers over the
-  // same storm. Smoke keeps one 2-shard cell (protocol coverage + CI
-  // gate); the full sweep scales shard counts against the largest flat
-  // cell and finishes with the 10^6-process wave storm.
-  struct ShardCell {
-    int shards;
-    std::size_t procs, rounds, wave;
-  };
-  std::vector<ShardCell> shard_cells;
-  if (smoke) {
-    shard_cells = {{2, 1000, 40, 1000}};
-  } else {
-    shard_cells = {{2, 100000, 10, 100000},
-                   {8, 100000, 10, 100000},
-                   {8, 1000000, 2, 10000}};
-  }
-  for (const ShardCell& cell : shard_cells) {
-    const StormResult r =
-        RunShardedStorm(cell.shards, cell.procs, cell.rounds, cell.wave);
-    print_row(r);
-    AppendJson(&json, r);
-    sharded_results.push_back(r);
-  }
-
   // Speedup summaries (the paper-facing numbers): fibers vs threads at
-  // equal size, and aggregate sharded throughput vs the single-shard
-  // fiber engine at equal size.
+  // equal size.
   std::string speedups;
   for (const StormResult& f : fiber_results) {
     for (const StormResult& t : thread_results) {
@@ -305,24 +188,6 @@ int main(int argc, char** argv) {
       std::snprintf(buf, sizeof(buf),
                     "    {\"procs\": %zu, \"fibers_over_threads\": %.2f}",
                     f.procs, speedup);
-      if (!speedups.empty()) speedups += ",\n";
-      speedups += buf;
-    }
-  }
-  for (const StormResult& s : sharded_results) {
-    for (const StormResult& f : fiber_results) {
-      if (f.procs != s.procs) continue;
-      const double speedup = f.DispatchPerSec() > 0
-                                 ? s.DispatchPerSec() / f.DispatchPerSec()
-                                 : 0;
-      std::printf("%d shards vs 1 @ %zu procs: %.1fx aggregate\n", s.shards,
-                  s.procs, speedup);
-      char buf[160];
-      std::snprintf(
-          buf, sizeof(buf),
-          "    {\"procs\": %zu, \"shards\": %d, \"sharded_over_single\": "
-          "%.2f}",
-          s.procs, s.shards, speedup);
       if (!speedups.empty()) speedups += ",\n";
       speedups += buf;
     }
@@ -356,15 +221,13 @@ int main(int argc, char** argv) {
     ss << in.rdbuf();
     const std::string baseline = ss.str();
     bool ok = true;
-    for (const char* key : {"fibers_dispatch_per_s", "threads_dispatch_per_s",
-                            "sharded_dispatch_per_s"}) {
+    for (const char* key :
+         {"fibers_dispatch_per_s", "threads_dispatch_per_s"}) {
       const double want = JsonNumber(baseline, key);
       if (want <= 0) continue;
-      const auto& results = std::strstr(key, "sharded") != nullptr
-                                ? sharded_results
-                            : std::strstr(key, "fibers") != nullptr
-                                ? fiber_results
-                                : thread_results;
+      const auto& results =
+          std::strstr(key, "fibers") != nullptr ? fiber_results
+                                                : thread_results;
       if (results.empty()) continue;
       const double got = results.front().DispatchPerSec();
       const double floor = 0.7 * want;

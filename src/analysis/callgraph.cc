@@ -6,6 +6,8 @@
 #include <string>
 #include <thread>
 
+#include "analysis/token.h"
+
 namespace pstk::analysis {
 
 namespace {
@@ -41,32 +43,6 @@ const char* const kNarrowCasts[] = {
     "static_cast<uint32_t>(",      "static_cast<unsigned>(",
     "static_cast<unsigned int>(",
 };
-
-/// Scan a token stream for `SpscRing<...> name` declarations. The `<`
-/// right after the ring type distinguishes declarations from the class
-/// definition and constructor calls; the declared name is the first
-/// identifier followed by a declarator terminator before the statement
-/// ends.
-void ScanSpscDecls(const std::string& file, const std::vector<Token>& tokens,
-                   std::vector<Program::SpscField>* out) {
-  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-    if (!(tokens[i].kind == TokKind::kIdent && tokens[i].text == "SpscRing")) {
-      continue;
-    }
-    if (!tokens[i + 1].IsPunct("<")) continue;
-    for (std::size_t j = i + 2; j + 1 < tokens.size(); ++j) {
-      const Token& t = tokens[j];
-      if (t.IsPunct(";") || t.IsPunct("{") || t.IsPunct("}")) break;
-      if (t.kind != TokKind::kIdent) continue;
-      const Token& next = tokens[j + 1];
-      if (next.IsPunct(";") || next.IsPunct("=") || next.IsPunct("(") ||
-          next.IsPunct(",") || next.IsPunct(")") || next.IsPunct("{")) {
-        out->push_back(Program::SpscField{t.text, file, t.line});
-        break;
-      }
-    }
-  }
-}
 
 /// Eligible for taint-knowledge / call-edge matching by name: lambdas
 /// (`outer::lambda#k`) can never be named in call text, and `main` is
@@ -369,8 +345,7 @@ Program Program::Analyze(std::vector<ProgramSource> sources, int jobs) {
   const auto build_one = [&](std::size_t i) {
     FileUnit& fu = p.units_[i];
     fu.file = std::move(sources[i].file);
-    fu.tokens = Tokenize(sources[i].source);
-    fu.unit = ParseUnit(fu.tokens);
+    fu.unit = ParseUnit(Tokenize(sources[i].source));
   };
   const std::size_t workers = std::min<std::size_t>(
       jobs > 1 ? static_cast<std::size_t>(jobs) : 1, sources.size());
@@ -389,9 +364,6 @@ Program Program::Analyze(std::vector<ProgramSource> sources, int jobs) {
       });
     }
     for (std::thread& t : pool) t.join();
-  }
-  for (const FileUnit& fu : p.units_) {
-    ScanSpscDecls(fu.file, fu.tokens, &p.spsc_fields_);
   }
 
   // --- phase 2: taint-knowledge fixpoint ---------------------------------

@@ -2,8 +2,7 @@
 // bottom-up function summaries over the stage-2 parse IR.
 //
 // Pipeline (Program::Analyze):
-//   1. tokenize + parse every source; token streams are kept for the
-//      SPSC channel-field scan (`SpscRing<T> name` declarations);
+//   1. tokenize + parse every source;
 //   2. taint-knowledge fixpoint: every FunctionFlow is rebuilt with the
 //      current set of rank-returning / wide-returning function names
 //      until the sets stabilize — `int Partner() { return rank ^ 1; }`
@@ -34,7 +33,6 @@
 
 #include "analysis/dataflow.h"
 #include "analysis/parse.h"
-#include "analysis/token.h"
 
 namespace pstk::analysis {
 
@@ -92,14 +90,6 @@ class Program {
     std::vector<int> callees;  // indices into fns(), deduplicated
   };
 
-  /// A `SpscRing<T> name` declaration found by token scan (fields,
-  /// locals, and reference parameters alike — any declared channel).
-  struct SpscField {
-    std::string name;
-    std::string file;
-    int line = 0;
-  };
-
   /// Parse + analyze a whole program. Never fails; unparsable constructs
   /// degrade to missing information. `jobs` > 1 tokenizes and parses the
   /// files on that many threads; every later phase (and the result) is
@@ -127,10 +117,6 @@ class Program {
   /// edges, excluding `fn` itself unless it sits on a cycle.
   [[nodiscard]] std::vector<int> ReachableFrom(int fn) const;
 
-  [[nodiscard]] const std::vector<SpscField>& spsc_fields() const {
-    return spsc_fields_;
-  }
-
   [[nodiscard]] const TaintKnowledge& knowledge() const { return *know_; }
 
   /// Collective sequence of a statement list with callee expansion;
@@ -155,13 +141,11 @@ class Program {
 
   struct FileUnit {
     std::string file;
-    std::vector<Token> tokens;
     Unit unit;
   };
 
   std::vector<FileUnit> units_;
   std::vector<FnEntry> fns_;
-  std::vector<SpscField> spsc_fields_;
   // Heap-allocated so FunctionFlow's knowledge pointer survives moves.
   std::unique_ptr<TaintKnowledge> know_;
 };

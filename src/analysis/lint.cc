@@ -109,18 +109,6 @@ const RuleInfo kRules[] = {
      "no Quiet()/Fence()/BarrierAll() between: the put may not be "
      "remotely complete",
      "call Quiet() (or a barrier) between the put and the read-back"},
-    {"sim-blocking-in-drain", Severity::kError,
-     "blocking call reachable from a Drain* function: the sharded "
-     "engine's cross-shard message drain runs between rounds on the "
-     "coordinator and must never block, or every shard stalls",
-     "keep the drain path non-blocking (defer the work onto the target "
-     "shard's event heap instead)"},
-    {"sim-spsc-multi-producer", Severity::kError,
-     "more than one function pushes into the same SpscRing channel: the "
-     "ring is single-producer by contract, a second producer races the "
-     "tail index",
-     "route every send through the one owning function, or give each "
-     "producer its own ring"},
     {"spark-missing-persist", Severity::kWarning,
      "RDD reused (inside a loop, or by multiple actions) without "
      "Persist()/Cache(): every reuse recomputes the whole lineage (the "
@@ -1205,13 +1193,13 @@ void CheckPutWithoutQuiet(const std::string& file, const FunctionFlow& flow,
           "BarrierAll() between: the put is not remotely complete and "
           "the get may read stale data");
       if (!p.receiver.empty()) {
-        TextEdit e;
-        e.file = file;
-        e.line = p.insert_line;
-        e.delete_lines = 0;
-        e.text = {p.receiver + ".Quiet();"};
-        e.note = "complete the put before the read-back";
-        f.edits.push_back(std::move(e));
+        TextEdit edit;
+        edit.file = file;
+        edit.line = p.insert_line;
+        edit.delete_lines = 0;
+        edit.text = {p.receiver + ".Quiet();"};
+        edit.note = "complete the put before the read-back";
+        f.edits.push_back(std::move(edit));
       }
       out.push_back(std::move(f));
       break;
@@ -1448,80 +1436,11 @@ void CheckMissingPersist(const std::string& file, const FunctionFlow& flow,
 }
 
 // ===========================================================================
-// Sim rules (whole-program: SPSC producers, drain-path blocking)
+// sched-blocking-in-submit-path
 // ===========================================================================
 
-/// Last identifier of a receiver chain: "from.outbox" -> "outbox",
-/// "shards_[i]->inbox" -> "inbox". Trailing call/index syntax stripped.
-std::string LastReceiverComponent(const std::string& receiver) {
-  std::size_t end = receiver.size();
-  while (end > 0 && (receiver[end - 1] == '(' || receiver[end - 1] == '[' ||
-                     receiver[end - 1] == ']' || receiver[end - 1] == ')')) {
-    --end;
-  }
-  std::size_t begin = end;
-  while (begin > 0) {
-    const char c = receiver[begin - 1];
-    if (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_') {
-      --begin;
-    } else {
-      break;
-    }
-  }
-  return receiver.substr(begin, end - begin);
-}
-
-/// Host-function name of a lifted lambda ("Foo::lambda#1" -> "Foo"); a
-/// lambda pushing to a ring counts as its host producing.
-std::string ProducerName(const std::string& fn_name) {
-  const std::size_t at = fn_name.find("::lambda#");
-  return at == std::string::npos ? fn_name : fn_name.substr(0, at);
-}
-
-void CheckSpscMultiProducer(const Program& prog,
-                            std::vector<LintFinding>& out) {
-  struct Producer {
-    std::string fn;
-    std::string file;
-    int line = 0;
-  };
-  for (const Program::SpscField& ch : prog.spsc_fields()) {
-    std::vector<Producer> producers;
-    for (const Program::FnEntry& entry : prog.fns()) {
-      for (const FlowEvent& e : entry.flow.events()) {
-        if (e.call == nullptr || e.call->method != "Push") continue;
-        if (LastReceiverComponent(e.call->receiver) != ch.name) continue;
-        const std::string who = ProducerName(entry.fn->name);
-        const bool known = std::any_of(
-            producers.begin(), producers.end(),
-            [&](const Producer& p) { return p.fn == who; });
-        if (!known) {
-          producers.push_back(Producer{who, entry.file, e.call->line});
-        }
-      }
-    }
-    if (producers.size() < 2) continue;
-    LintFinding f = MakeFinding(
-        "sim-spsc-multi-producer", producers[1].file, producers[1].line,
-        "SpscRing channel `" + ch.name + "` (declared at " + ch.file + ":" +
-            std::to_string(ch.line) + ") is pushed to by " +
-            std::to_string(producers.size()) + " functions (" +
-            producers[0].fn + ", " + producers[1].fn +
-            (producers.size() > 2 ? ", ..." : "") +
-            "): single-producer is the ring's entire correctness "
-            "argument — a second producer races the tail index");
-    f.related.push_back(RelatedLocation{
-        ch.file, ch.line, "channel `" + ch.name + "` declared here"});
-    f.related.push_back(RelatedLocation{
-        producers[0].file, producers[0].line,
-        "first producer " + producers[0].fn + "()"});
-    out.push_back(std::move(f));
-  }
-}
-
-/// Shared engine for the "no blocking reachable from X" rules: for every
-/// function matched by `is_root`, flag each blocking call in its
-/// interprocedurally reachable set, once per source line per rule.
+/// For every function matched by `is_root`, flag each blocking call in
+/// its interprocedurally reachable set, once per source line.
 void CheckBlockingReachableFrom(const Program& prog, const char* slug,
                                 bool (*is_root)(const std::string&),
                                 const char* role, const char* rationale,
@@ -1552,20 +1471,6 @@ void CheckBlockingReachableFrom(const Program& prog, const char* slug,
       }
     }
   }
-}
-
-void CheckBlockingInDrain(const Program& prog,
-                          std::vector<LintFinding>& out) {
-  CheckBlockingReachableFrom(
-      prog, "sim-blocking-in-drain",
-      [](const std::string& name) {
-        return name.compare(0, 5, "Drain") == 0;
-      },
-      "drain root",
-      "the drain path runs on the coordinator "
-      "between simulation rounds and must never block, or "
-      "every shard stalls behind it",
-      out);
 }
 
 /// Submit-path roots: `Submit` / `Foo::Submit`, plus `OnJob*` handlers
@@ -1814,8 +1719,6 @@ std::vector<LintFinding> LintProgram(std::vector<ProgramSource> sources,
     CheckOmpRules(entry.file, entry.fn->body, flow, out);
     CheckMissingPersist(entry.file, flow, out);
   }
-  CheckSpscMultiProducer(prog, out);
-  CheckBlockingInDrain(prog, out);
   CheckBlockingInSubmitPath(prog, out);
   CheckDataplaneCopyInHotPath(prog, out);
   std::sort(out.begin(), out.end(),

@@ -65,12 +65,6 @@
 //   mpi-collective-in-loop-divergent-bound — error — collective inside a
 //       loop whose bound is rank-derived: ranks disagree on the trip
 //       count and execute different numbers of collectives
-//   sim-blocking-in-drain — error — blocking call reachable from a
-//       Drain* function: the sharded engine's coordinator drain path
-//       must never block (a blocked coordinator stalls every shard)
-//   sim-spsc-multi-producer — error — more than one function pushes to
-//       the same SpscRing channel: single-producer is the ring's entire
-//       correctness argument
 #pragma once
 
 #include <cstdint>

@@ -6,8 +6,8 @@ namespace pstk::buf {
 namespace {
 
 // Process-global counters. Relaxed atomics: adds are commutative, so the
-// totals are identical for any shard count / worker interleaving, and
-// reads by SnapshotStats need no ordering with respect to each other.
+// totals are identical for any host-thread interleaving, and reads by
+// SnapshotStats need no ordering with respect to each other.
 struct Stats {
   std::atomic<std::uint64_t> chunks_allocated{0};
   std::atomic<std::uint64_t> chunks_aliased{0};

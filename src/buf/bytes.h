@@ -16,8 +16,8 @@
 // Immutability + refcounting is all the lifetime machinery the simulator
 // needs: simulated processes are cooperatively scheduled fibers (or
 // lockstep threads), so chunk payloads are never mutated after creation
-// and the shared_ptr control block handles the one cross-thread hazard
-// (sharded engine workers releasing replicas concurrently).
+// and the shared_ptr control block makes a release from another host
+// thread (a thread-backend process) safe.
 //
 // Every deep copy the data plane still performs is counted in a
 // process-global `Stats` (chunks allocated/aliased, bytes copied, and a

@@ -204,12 +204,6 @@ struct HpcJob {
   /// backend-invariant (tests/ckpt_test.cc checks fibers == threads); the
   /// field exists so sweeps can pin one explicitly.
   sim::Backend backend = sim::DefaultBackend();
-  /// Shard layout for every attempt's engine. A tightly coupled SPMD job
-  /// must keep all of its ranks on one shard (the framework layers
-  /// interact at zero lookahead), so sharded hosts should pin
-  /// shard_of_node to a single shard for this job's nodes; outcomes are
-  /// shard-invariant (ckpt_test.cc checks 1 shard == 8 shards).
-  sim::ShardOptions shard_options;
   /// Called after engine+cluster construction, before ranks spawn — attach
   /// observability, install checkers, stage data.
   std::function<void(sim::Engine&, cluster::Cluster&)> on_attempt;

@@ -70,9 +70,7 @@ SimTime Cluster::ComputeTime(double flops, int threads) const {
 
 void Cluster::FailNode(int node, SimTime t) {
   PSTK_CHECK_MSG(node >= 0 && node < nodes(), "bad node " << node);
-  // Routed to the shard that owns `node`: the event touches that shard's
-  // processes (KillNow), which a foreign shard must never do directly.
-  engine_.ScheduleEventFor(node, t, [this, node] {
+  engine_.ScheduleEvent(t, [this, node] {
     if (failed_[node]) return;
     failed_[node] = true;
     ++node_failures_;
@@ -90,7 +88,7 @@ void Cluster::FailNode(int node, SimTime t) {
 
 void Cluster::RestoreNode(int node, SimTime t) {
   PSTK_CHECK_MSG(node >= 0 && node < nodes(), "bad node " << node);
-  engine_.ScheduleEventFor(node, t, [this, node] {
+  engine_.ScheduleEvent(t, [this, node] {
     if (!failed_[node]) return;
     failed_[node] = false;
     disks_[node]->set_failed(false);

@@ -1,7 +1,6 @@
 #include "net/fabric.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.h"
 
@@ -56,51 +55,6 @@ TransportParams TransportParams::SharedMemory() {
 Fabric::Fabric(std::size_t nodes, TransportParams default_transport)
     : default_(std::move(default_transport)), tx_(nodes), rx_(nodes) {
   PSTK_CHECK_MSG(nodes >= 1, "fabric needs at least one node");
-}
-
-SimTime Fabric::MinLatency(int node_a, int node_b) const {
-  PSTK_CHECK_MSG(node_a >= 0 && node_a < static_cast<int>(tx_.size()),
-                 "bad node " << node_a);
-  PSTK_CHECK_MSG(node_b >= 0 && node_b < static_cast<int>(tx_.size()),
-                 "bad node " << node_b);
-  if (node_a == node_b) return TransportParams::SharedMemory().base_latency;
-  return default_.base_latency;
-}
-
-std::function<SimTime(int, int)> ShardLookahead(
-    const Fabric& fabric, const std::function<int(int)>& shard_of_node,
-    int shards) {
-  PSTK_CHECK_MSG(shards >= 1, "ShardLookahead needs shards >= 1");
-  // Dense matrix precomputed once: the engine queries L(src, dst) for
-  // every shard pair at Run() start, and a lambda capturing the fabric by
-  // reference would dangle if the caller's fabric moves.
-  const int nodes = static_cast<int>(fabric.nodes());
-  std::vector<SimTime> matrix(
-      static_cast<std::size_t>(shards) * static_cast<std::size_t>(shards),
-      std::numeric_limits<SimTime>::infinity());
-  std::vector<int> shard_of(static_cast<std::size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    const int s = shard_of_node ? shard_of_node(n) : n % shards;
-    PSTK_CHECK_MSG(s >= 0 && s < shards,
-                   "shard_of_node(" << n << ") = " << s << " out of range");
-    shard_of[static_cast<std::size_t>(n)] = s;
-  }
-  for (int a = 0; a < nodes; ++a) {
-    for (int b = 0; b < nodes; ++b) {
-      const int sa = shard_of[static_cast<std::size_t>(a)];
-      const int sb = shard_of[static_cast<std::size_t>(b)];
-      if (sa == sb) continue;
-      auto& slot = matrix[static_cast<std::size_t>(sa) * shards + sb];
-      slot = std::min(slot, fabric.MinLatency(a, b));
-    }
-  }
-  return [matrix = std::move(matrix), shards](int src, int dst) {
-    PSTK_CHECK_MSG(src >= 0 && src < shards && dst >= 0 && dst < shards,
-                   "ShardLookahead(" << src << ", " << dst
-                                     << ") out of range for " << shards
-                                     << " shards");
-    return matrix[static_cast<std::size_t>(src) * shards + dst];
-  };
 }
 
 void Fabric::AttachObs(obs::Registry* registry) {

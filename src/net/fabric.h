@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,14 +66,6 @@ class Fabric {
   }
   [[nodiscard]] std::size_t nodes() const { return tx_.size(); }
 
-  /// Minimum virtual-time separation any interaction between `node_a` and
-  /// `node_b` can achieve on this fabric: the transport's base (zero-byte)
-  /// one-way latency — shared memory when the nodes coincide, the default
-  /// transport's wire+stack latency otherwise. This is the quantity a
-  /// sharded simulation may use as conservative lookahead: no message
-  /// modeled through this fabric arrives earlier.
-  [[nodiscard]] SimTime MinLatency(int node_a, int node_b) const;
-
   /// NIC utilization introspection (for reports and tests).
   [[nodiscard]] SimTime tx_busy(int node) const { return tx_[node].busy_time(); }
   [[nodiscard]] SimTime rx_busy(int node) const { return rx_[node].busy_time(); }
@@ -99,15 +90,5 @@ class Fabric {
   obs::TagId tag_msg_size_ = obs::kNoTag;
   obs::TagId tag_sender_cpu_ = obs::kNoTag;
 };
-
-/// Build a sim::ShardOptions-compatible lookahead function from the
-/// fabric: L(src_shard, dst_shard) = min over node pairs (a on src, b on
-/// dst) of fabric.MinLatency(a, b), where `shard_of_node` is the same
-/// placement the engine uses. Every cross-shard interaction modeled
-/// through `fabric` then satisfies the sharded engine's lookahead promise
-/// by construction. O(nodes^2) once at Run() start.
-[[nodiscard]] std::function<SimTime(int, int)> ShardLookahead(
-    const Fabric& fabric, const std::function<int(int)>& shard_of_node,
-    int shards);
 
 }  // namespace pstk::net

@@ -105,97 +105,6 @@ TagId Registry::Intern(std::string_view name) {
   return id;
 }
 
-// ---------------------------------------------------------------------------
-// Sharded recording
-// ---------------------------------------------------------------------------
-
-thread_local int Registry::tls_shard_ = -1;
-
-void Registry::SetCurrentShard(int shard) { tls_shard_ = shard; }
-
-void Registry::ConfigureShards(int shards) {
-  shard_logs_.clear();
-  shard_logs_.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    auto log = std::make_unique<ShardLog>();
-    if (enabled_) log->events.reserve(4096);
-    shard_logs_.push_back(std::move(log));
-  }
-}
-
-void Registry::MarkBlock(SimTime t, std::uint8_t kind, std::uint64_t key) {
-  if (!enabled_) return;
-  if (ShardLog* log = CurrentShardLog()) {
-    log->blocks.push_back(ShardLog::Block{t, kind, key, log->events.size()});
-  }
-}
-
-void Registry::MergeShards() {
-  if (shard_logs_.empty()) return;
-
-  // Fold counters and histograms (order-insensitive: plain sums).
-  for (const auto& log : shard_logs_) {
-    for (TagId tag = 0; tag < log->counters.size(); ++tag) {
-      if (log->counters[tag] == 0) continue;
-      if (tag >= counters_.size()) counters_.resize(names_.size(), 0);
-      counters_[tag] += log->counters[tag];
-    }
-    for (const auto& [tag, hist] : log->histograms) {
-      histograms_[tag].Merge(hist);
-    }
-  }
-
-  // K-way merge of event blocks. Each shard's blocks are already in its
-  // local scheduling order; the global min-first scheduler would always
-  // have picked the smallest (t, kind, key) among the shards' next
-  // actions, so repeatedly emitting the smallest block head reproduces
-  // the single-threaded event order exactly.
-  struct Cursor {
-    ShardLog* log;
-    std::size_t block = 0;
-  };
-  std::vector<Cursor> cursors;
-  std::size_t total_events = events_.size();
-  for (const auto& log : shard_logs_) {
-    // Defensive: events recorded before any MarkBlock sort to the front.
-    if (!log->events.empty() &&
-        (log->blocks.empty() || log->blocks.front().begin > 0)) {
-      log->blocks.insert(log->blocks.begin(),
-                         ShardLog::Block{log->events.front().time, 0, 0, 0});
-    }
-    total_events += log->events.size();
-    if (!log->blocks.empty()) cursors.push_back(Cursor{log.get()});
-  }
-  events_.reserve(total_events);
-
-  auto before = [](const ShardLog::Block& a, const ShardLog::Block& b) {
-    if (a.t != b.t) return a.t < b.t;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.key < b.key;
-  };
-  while (!cursors.empty()) {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < cursors.size(); ++i) {
-      if (before(cursors[i].log->blocks[cursors[i].block],
-                 cursors[best].log->blocks[cursors[best].block])) {
-        best = i;
-      }
-    }
-    Cursor& c = cursors[best];
-    const ShardLog::Block& blk = c.log->blocks[c.block];
-    const std::size_t end = c.block + 1 < c.log->blocks.size()
-                                ? c.log->blocks[c.block + 1].begin
-                                : c.log->events.size();
-    events_.insert(events_.end(), c.log->events.begin() + blk.begin,
-                   c.log->events.begin() + end);
-    if (++c.block == c.log->blocks.size()) {
-      cursors.erase(cursors.begin() + static_cast<std::ptrdiff_t>(best));
-    }
-  }
-
-  shard_logs_.clear();
-}
-
 std::uint64_t Registry::CounterByName(std::string_view name) const {
   auto it = index_.find(name);
   return it == index_.end() ? 0 : counter(it->second);

@@ -4,7 +4,7 @@
 // Determinism stance: a Poisson spec with a fixed seed always expands to
 // the same arrival-time vector (xoshiro-driven exponential gaps, no host
 // entropy), so a whole service-bench run is a pure function of its flags —
-// byte-identical across repeats and engine shard counts.
+// byte-identical across repeats.
 #pragma once
 
 #include <cstdint>

@@ -25,9 +25,8 @@
 // The scheduler is a passive, event-driven object: Submit and the OnJob*
 // callbacks run a synchronous scheduling pass and return — nothing in the
 // submit path may block on simulated time (enforced by the pstk-lint rule
-// `sched-blocking-in-submit-path`). Mid-run process spawns are legal only
-// on a single engine shard, so service workloads pin every node to shard 0
-// (see DESIGN.md §sched for the determinism stance).
+// `sched-blocking-in-submit-path`). See DESIGN.md §sched for the
+// determinism stance.
 #pragma once
 
 #include <deque>

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
-#include <limits>
 #include <map>
+#include <mutex>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -13,13 +15,6 @@
 #include "sim/fiber.h"
 
 namespace pstk::sim {
-
-namespace {
-constexpr SimTime kInfinity = std::numeric_limits<SimTime>::infinity();
-// Events scheduled from inside a parallel round get per-shard FIFO seqs
-// above every pre-run seq; coordinator-routed deliveries sit above both.
-constexpr std::uint64_t kMidRunSeqBase = std::uint64_t{1} << 40;
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Backend selection
@@ -139,10 +134,6 @@ class ThreadBackend final : public ExecBackend {
   }
 
   void ThreadMain(Engine& engine, Proc& p) {
-    // The process thread acts on behalf of its owning shard: bind the
-    // thread-local shard slot so obs recording and cross-shard routing
-    // see the right shard (shard 0 on an unsharded engine).
-    engine.BindExecThread(p.shard);
     auto& x = static_cast<ThreadExec&>(*p.exec);
     // Wait for the first dispatch.
     {
@@ -218,40 +209,19 @@ void Context::Trace(std::string_view tag, std::string_view detail) {
   obs::Registry& reg = engine_.obs_;
   if (!reg.enabled()) return;
   reg.Instant(node(), pid_, reg.Intern(tag), now(),
-              detail.empty() ? obs::kNoTag : reg.Intern(detail),
-              /*user=*/true);
+              detail.empty() ? obs::kNoTag : reg.Intern(detail));
 }
 
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
-thread_local const Engine* Engine::tls_engine_ = nullptr;
-thread_local int Engine::tls_shard_ = -1;
-
 Engine::Engine(std::uint64_t seed, Backend backend)
-    : Engine(seed, backend, ShardOptions{}) {}
-
-Engine::Engine(std::uint64_t seed, Backend backend, ShardOptions shard_options)
-    : seed_(seed), backend_(backend),
-      shard_options_(std::move(shard_options)) {
-  PSTK_CHECK_MSG(shard_options_.shards >= 1,
-                 "ShardOptions.shards must be >= 1, got "
-                     << shard_options_.shards);
-  shards_.reserve(static_cast<std::size_t>(shard_options_.shards));
-  for (int s = 0; s < shard_options_.shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    if (backend_ == Backend::kThreads) {
-      shard->exec = std::make_unique<ThreadBackend>();
-    } else {
-      shard->exec = std::make_unique<FiberBackend>(obs_);
-    }
-    shard->bound = kInfinity;
-    if (shard_options_.shards > 1) {
-      shard->outbox =
-          std::make_unique<SpscRing<ShardMsg>>(shard_options_.channel_capacity);
-    }
-    shards_.push_back(std::move(shard));
+    : seed_(seed), backend_(backend) {
+  if (backend_ == Backend::kThreads) {
+    exec_ = std::make_unique<ThreadBackend>();
+  } else {
+    exec_ = std::make_unique<FiberBackend>(obs_);
   }
   tags_.dispatches = obs_.Intern("sim.dispatches");
   tags_.events = obs_.Intern("sim.events");
@@ -262,48 +232,9 @@ Engine::Engine(std::uint64_t seed, Backend backend, ShardOptions shard_options)
   tags_.kill = obs_.Intern("killed");
   tags_.block = obs_.Intern("block");
   tags_.dispatch_ns = obs_.Intern("sim.dispatch.host_ns");
-  shard_tags_.rounds = obs_.Intern("sim.shard.rounds");
-  shard_tags_.msgs = obs_.Intern("sim.shard.msgs");
-  shard_tags_.spills = obs_.Intern("sim.shard.channel_spills");
   // Which scheduler backend ran shows up in every metrics table.
   obs_.Add(obs_.Intern(backend_ == Backend::kThreads ? "sim.backend.threads"
                                                      : "sim.backend.fibers"));
-}
-
-int Engine::ShardOfNode(int node) const {
-  const int count = shard_count();
-  if (count <= 1) return 0;
-  if (!shard_options_.shard_of_node) {
-    return ((node % count) + count) % count;
-  }
-  const int s = shard_options_.shard_of_node(node);
-  PSTK_CHECK_MSG(s >= 0 && s < count,
-                 "shard_of_node(" << node << ") = " << s
-                                  << " out of range [0, " << count << ")");
-  return s;
-}
-
-int Engine::CurrentShardIndex() const {
-  return tls_engine_ == this ? tls_shard_ : -1;
-}
-
-Engine::Shard& Engine::CurrentShard() {
-  const int s = CurrentShardIndex();
-  return *shards_[static_cast<std::size_t>(s >= 0 ? s : 0)];
-}
-
-void Engine::BindExecThread(int shard) {
-  tls_engine_ = this;
-  tls_shard_ = shard;
-  obs::Registry::SetCurrentShard(shard);
-}
-
-SimTime Engine::now() const {
-  const int cur = CurrentShardIndex();
-  if (cur >= 0) return shards_[static_cast<std::size_t>(cur)]->frontier;
-  SimTime frontier = 0;
-  for (const auto& s : shards_) frontier = std::max(frontier, s->frontier);
-  return frontier;
 }
 
 void Engine::EnableTrace(bool on) {
@@ -316,59 +247,26 @@ void Engine::EnableTrace(bool on) {
   }
 }
 
-const std::vector<TraceEvent>& Engine::trace() const {
-  const std::vector<obs::Event>& events = obs_.events();
-  if (events.size() < trace_seen_) {
-    // The registry shrank (e.g. re-enabled tracing): rebuild from scratch.
-    trace_compat_.clear();
-    trace_seen_ = 0;
-  }
-  for (std::size_t i = trace_seen_; i < events.size(); ++i) {
-    const obs::Event& e = events[i];
-    if (!e.user) continue;
-    trace_compat_.push_back(TraceEvent{
-        e.time, e.track, obs_.Name(e.tag),
-        e.detail == obs::kNoTag ? std::string() : obs_.Name(e.detail)});
-  }
-  trace_seen_ = events.size();
-  return trace_compat_;
-}
-
 Engine::~Engine() { JoinAll(); }
 
 Pid Engine::Spawn(std::string name, ProcessBody body, int node) {
   SimTime start = 0;
-  const Shard& s = *shards_[static_cast<std::size_t>(
-      std::max(CurrentShardIndex(), 0))];
-  if (s.running != kNoPid) {
-    start = procs_[s.running]->clock;
+  if (running_ != kNoPid) {
+    start = procs_[running_]->clock;
   } else if (running_loop_) {
     // Spawned from an event handler mid-run (e.g. a scheduler arrival):
     // the child starts at the event's instant, not back at t=0.
-    start = s.frontier;
+    start = frontier_;
   }
   return SpawnAt(start, std::move(name), std::move(body), node);
 }
 
 Pid Engine::SpawnAt(SimTime start, std::string name, ProcessBody body,
                     int node) {
-  const int shard = ShardOfNode(node);
-  if (in_parallel_) {
-    // procs_ may be read concurrently by other shard workers; growing it
-    // is only safe while one shard is doing all the work.
-    PSTK_CHECK_MSG(
-        populated_shards_ <= 1,
-        "mid-run Spawn on a multi-shard engine: spawn every process "
-        "before Run(), or confine the job to a single shard");
-    PSTK_CHECK_MSG(shard == CurrentShardIndex(),
-                   "mid-run Spawn targets shard "
-                       << shard << " from shard " << CurrentShardIndex());
-  }
   const Pid pid = static_cast<Pid>(procs_.size());
   auto proc = std::make_unique<Proc>();
   proc->name = std::move(name);
   proc->node = node;
-  proc->shard = shard;
   proc->body = std::move(body);
   proc->context = std::unique_ptr<Context>(new Context(*this, pid));
   proc->rng = Rng(seed_ ^ (0x9E3779B97F4A7C15ULL * (pid + 1)));
@@ -386,8 +284,7 @@ void Engine::MakeReady(Pid pid, SimTime wake_at) {
   Proc& p = *procs_[pid];
   p.state = ProcState::kReady;
   p.wake_at = wake_at;
-  shards_[static_cast<std::size_t>(p.shard)]->ready.Push(
-      ReadyEntry{wake_at, pid, ++p.ready_stamp});
+  ready_.Push(ReadyEntry{wake_at, pid, ++p.ready_stamp});
 }
 
 void Engine::RemoveReady(Pid pid) {
@@ -396,16 +293,18 @@ void Engine::RemoveReady(Pid pid) {
   ++procs_[pid]->ready_stamp;
 }
 
-void Engine::PruneReady(Shard& s) {
-  while (!s.ready.empty()) {
-    const ReadyEntry& top = s.ready.Top();
+void Engine::PruneReady() {
+  while (!ready_.empty()) {
+    const ReadyEntry& top = ready_.Top();
     const Proc& p = *procs_[top.pid];
     if (top.stamp == p.ready_stamp && p.state == ProcState::kReady) return;
-    s.ready.PopTop();
+    ready_.PopTop();
   }
 }
 
-void Engine::ApplyWake(Pid pid, SimTime t) {
+void Engine::Wake(Pid pid, SimTime t) {
+  PSTK_CHECK_MSG(pid < procs_.size(), "Wake: bad pid " << pid);
+  obs_.Add(tags_.wakes);
   Proc& p = *procs_[pid];
   switch (p.state) {
     case ProcState::kBlocked:
@@ -427,102 +326,24 @@ void Engine::ApplyWake(Pid pid, SimTime t) {
   }
 }
 
-void Engine::Wake(Pid pid, SimTime t) {
-  PSTK_CHECK_MSG(pid < procs_.size(), "Wake: bad pid " << pid);
-  obs_.Add(tags_.wakes);
-  const int target = procs_[pid]->shard;
-  const int cur = CurrentShardIndex();
-  if (!in_parallel_ || cur < 0 || target == cur) {
-    ApplyWake(pid, t);
-    return;
-  }
-  // Cross-shard: deliver as an event at exactly t on the target shard, so
-  // the target observes it at the same virtual point the single-threaded
-  // engine would (the send-side lookahead check guarantees t is beyond
-  // everything the target may concurrently process this window).
-  ShardMsg msg;
-  msg.kind = ShardMsg::Kind::kWake;
-  msg.dst_shard = target;
-  msg.pid = pid;
-  msg.t = t;
-  SendCrossShard(*shards_[static_cast<std::size_t>(cur)], std::move(msg));
-}
-
 void Engine::ScheduleEvent(SimTime t, std::function<void()> fn) {
-  if (!in_parallel_) {
-    shards_[0]->events.Push(EventEntry{t, event_seq_++, std::move(fn)});
-    return;
-  }
-  Shard& s = CurrentShard();
-  s.events.Push(EventEntry{t, kMidRunSeqBase + s.mid_seq++, std::move(fn)});
-}
-
-void Engine::ScheduleEventFor(int node, SimTime t, std::function<void()> fn) {
-  const int dst = ShardOfNode(node);
-  if (!in_parallel_) {
-    shards_[static_cast<std::size_t>(dst)]->events.Push(
-        EventEntry{t, event_seq_++, std::move(fn)});
-    return;
-  }
-  const int cur = CurrentShardIndex();
-  if (dst == cur) {
-    Shard& s = CurrentShard();
-    s.events.Push(EventEntry{t, kMidRunSeqBase + s.mid_seq++, std::move(fn)});
-    return;
-  }
-  ShardMsg msg;
-  msg.kind = ShardMsg::Kind::kEvent;
-  msg.dst_shard = dst;
-  msg.t = t;
-  msg.fn = std::move(fn);
-  SendCrossShard(*shards_[static_cast<std::size_t>(std::max(cur, 0))],
-                 std::move(msg));
+  events_.Push(EventEntry{t, event_seq_++, std::move(fn)});
 }
 
 void Engine::Kill(Pid pid, SimTime t) {
   PSTK_CHECK_MSG(pid < procs_.size(), "Kill: bad pid " << pid);
-  const int dst = procs_[pid]->shard;
-  auto fn = [this, pid] { KillNow(pid); };
-  if (!in_parallel_) {
-    // Fault plans route to the victim's shard with the pre-run FIFO seq,
-    // so --faults= injection replays identically at any shard count.
-    shards_[static_cast<std::size_t>(dst)]->events.Push(
-        EventEntry{t, event_seq_++, std::move(fn)});
-    return;
-  }
-  const int cur = CurrentShardIndex();
-  if (dst == cur) {
-    Shard& s = CurrentShard();
-    s.events.Push(EventEntry{t, kMidRunSeqBase + s.mid_seq++, std::move(fn)});
-    return;
-  }
-  ShardMsg msg;
-  msg.kind = ShardMsg::Kind::kKill;
-  msg.dst_shard = dst;
-  msg.pid = pid;
-  msg.t = t;
-  SendCrossShard(*shards_[static_cast<std::size_t>(std::max(cur, 0))],
-                 std::move(msg));
+  ScheduleEvent(t, [this, pid] { KillNow(pid); });
 }
 
 void Engine::KillNow(Pid pid) {
   PSTK_CHECK_MSG(pid < procs_.size(), "Kill: bad pid " << pid);
   Proc& p = *procs_[pid];
   if (p.state == ProcState::kDone || p.state == ProcState::kKilled) return;
-  if (in_parallel_) {
-    PSTK_CHECK_MSG(p.shard == CurrentShardIndex(),
-                   "KillNow(" << pid << ") from shard " << CurrentShardIndex()
-                              << " targets shard " << p.shard
-                              << "; use Kill(pid, t) with a timestamp "
-                                 "respecting the shard lookahead");
-  }
-  Shard& s = *shards_[static_cast<std::size_t>(p.shard)];
   p.kill_requested = true;
   obs_.Add(tags_.kills);
-  // The kill lands at the initiating action's virtual time (clamped to the
-  // victim's own clock): a locally computable instant, identical whether
-  // the surrounding run is sharded or not.
-  const SimTime t = std::max(s.activation, p.clock);
+  // The kill lands at the initiating action's virtual time, clamped to the
+  // victim's own clock.
+  const SimTime t = std::max(activation_, p.clock);
   if (obs_.enabled()) {
     obs_.Instant(p.node, pid, tags_.kill, t);
   }
@@ -644,30 +465,29 @@ std::string Engine::DeadlockReport() const {
 }
 
 void Engine::ExecuteBody(Proc& p) {
-  Shard& s = *shards_[static_cast<std::size_t>(p.shard)];
   try {
     if (p.kill_requested) throw ProcessKilled{};
     p.body(*p.context);
     p.state = ProcState::kDone;
-    ++s.completed;
+    ++completed_;
   } catch (const ProcessKilled&) {
     p.state = ProcState::kKilled;
-    ++s.killed;
+    ++killed_;
   } catch (...) {
     p.error = std::current_exception();
     p.state = ProcState::kDone;
-    ++s.completed;
+    ++completed_;
   }
 }
 
-void Engine::DispatchProc(Shard& s, Pid pid) {
+void Engine::DispatchProc(Pid pid) {
   Proc& p = *procs_[pid];
   PSTK_CHECK(p.state == ProcState::kReady);
   p.clock = std::max(p.clock, p.wake_at);
-  s.frontier = std::max(s.frontier, p.clock);
-  s.activation = p.clock;
+  frontier_ = std::max(frontier_, p.clock);
+  activation_ = p.clock;
   p.state = ProcState::kRunning;
-  s.running = pid;
+  running_ = pid;
 
   obs_.Add(tags_.dispatches);
   const bool traced = obs_.enabled();
@@ -677,9 +497,9 @@ void Engine::DispatchProc(Shard& s, Pid pid) {
     host_start = std::chrono::steady_clock::now();
   }
 
-  s.exec->Resume(*this, p);
+  exec_->Resume(*this, p);
 
-  s.running = kNoPid;
+  running_ = kNoPid;
   if (traced) {
     // Host-clock dispatch latency (the one intentionally nondeterministic
     // metric; it never enters the trace event stream).
@@ -693,7 +513,7 @@ void Engine::DispatchProc(Shard& s, Pid pid) {
 }
 
 void Engine::ProcYieldToEngine(Proc& p) {
-  shards_[static_cast<std::size_t>(p.shard)]->exec->Suspend(p);
+  exec_->Suspend(p);
   CheckKilled(p);
 }
 
@@ -727,35 +547,27 @@ SimTime Engine::ProcBlockUntil(Pid pid, SimTime t, std::string_view reason) {
   return p.clock;
 }
 
-bool Engine::StepShard(Shard& s) {
-  if (s.fatal.has_value()) return false;
-  PruneReady(s);
-  const bool has_event = !s.events.empty();
-  const bool has_proc = !s.ready.empty();
-  if (!has_event && !has_proc) return false;
-  const SimTime te = has_event ? s.events.Top().t : kInfinity;
-  const SimTime tp = has_proc ? s.ready.Top().t : kInfinity;
-  if (std::min(te, tp) >= s.bound) return false;  // conservative horizon
-  if (te <= tp) {
-    const std::uint64_t seq = s.events.Top().seq;
-    const bool wake_delivery = s.events.Top().wake_delivery;
-    auto fn = std::move(s.events.MutableTop().fn);
-    s.events.PopTop();
-    s.frontier = std::max(s.frontier, te);
-    s.activation = te;
-    if (!wake_delivery) obs_.Add(tags_.events);
-    obs_.MarkBlock(te, /*kind=*/0, seq);
+bool Engine::Step() {
+  PruneReady();
+  const bool has_event = !events_.empty();
+  if (!has_event && ready_.empty()) return false;
+  if (has_event && (ready_.empty() || events_.Top().t <= ready_.Top().t)) {
+    const SimTime t = events_.Top().t;
+    auto fn = std::move(events_.MutableTop().fn);
+    events_.PopTop();
+    frontier_ = std::max(frontier_, t);
+    activation_ = t;
+    obs_.Add(tags_.events);
     fn();
-  } else {
-    const Pid pid = s.ready.Top().pid;
-    s.ready.PopTop();
-    obs_.MarkBlock(tp, /*kind=*/1, pid);
-    DispatchProc(s, pid);
-    s.frontier = std::max(s.frontier, procs_[pid]->clock);
-    if (procs_[pid]->error != nullptr) {
-      s.fatal = Shard::Fatal{procs_[pid]->clock, pid, procs_[pid]->error};
-      return false;
-    }
+    return true;
+  }
+  const Pid pid = ready_.Top().pid;
+  ready_.PopTop();
+  DispatchProc(pid);
+  frontier_ = std::max(frontier_, procs_[pid]->clock);
+  if (procs_[pid]->error != nullptr) {
+    fatal_ = procs_[pid]->error;
+    return false;
   }
   return true;
 }
@@ -763,30 +575,18 @@ bool Engine::StepShard(Shard& s) {
 RunResult Engine::Run() {
   PSTK_CHECK_MSG(!running_loop_, "Engine::Run is not reentrant");
   running_loop_ = true;
-  if (shard_count() > 1) {
-    RunResult result = RunSharded();
-    running_loop_ = false;
-    return result;
-  }
-  Shard& s = *shards_[0];
-  s.bound = kInfinity;
-  while (StepShard(s)) {
+  while (Step()) {
   }
   running_loop_ = false;
-  return RunEpilogue(s.fatal.has_value() ? s.fatal->error : nullptr);
-}
 
-RunResult Engine::RunEpilogue(std::exception_ptr fatal) {
   RunResult result;
-  result.end_time = now();
-  for (const auto& s : shards_) {
-    result.completed += s->completed;
-    result.killed += s->killed;
-  }
+  result.end_time = frontier_;
+  result.completed = completed_;
+  result.killed = killed_;
 
-  if (fatal != nullptr) {
+  if (fatal_ != nullptr) {
     JoinAll();
-    std::rethrow_exception(fatal);
+    std::rethrow_exception(fatal_);
   }
 
   std::size_t blocked = 0;
@@ -820,7 +620,7 @@ void Engine::JoinAll() {
     if (p.state == ProcState::kBlocked || p.state == ProcState::kReady) {
       p.kill_requested = true;
     }
-    shards_[static_cast<std::size_t>(p.shard)]->exec->Unwind(*this, p);
+    exec_->Unwind(*this, p);
   }
 }
 

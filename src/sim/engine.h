@@ -38,43 +38,20 @@
 // fresh generation-stamped entry and stale ones are discarded when they
 // surface, keeping every mutation O(log n) with contiguous storage.
 //
-// Sharded execution (conservative PDES): an Engine constructed with
-// ShardOptions{shards > 1} partitions its processes across N shards by
-// node affinity; each shard owns its own heaps and its own exec backend
-// and runs on a dedicated host thread. Shards synchronize in windows: a
-// coordinator computes, per shard, the horizon
-//     bound(s) = min over s' != s of next_action_time(s') + lookahead(s', s)
-// and each shard then processes every action with t < bound(s) in
-// parallel. The lookahead comes from the modeled interconnect (see
-// net::ShardLookahead / net::Fabric::MinLatency) and must be positive for
-// every pair of populated shards; cross-shard sends promise their effect
-// lands at least that far in the target's future (checked at send time),
-// which is what makes the parallel run replay the single-threaded
-// schedule exactly — see DESIGN.md §execution backends for the protocol
-// and the determinism argument. Cross-shard messages travel on bounded
-// SPSC rings (spsc.h) drained by the coordinator at window boundaries;
-// per-shard obs logs merge deterministically afterwards, so traces and
-// RunResults are byte-identical at any shard count.
-//
 // Instrumentation goes through the engine's obs::Registry (`engine.obs()`):
 // dispatch/block/kill activity is published there, higher layers intern
 // their own tags against the same registry, and EnableTrace() switches the
-// whole bus on. The legacy TraceEvent vector survives as a compat shim that
-// re-materializes user Trace() calls from the typed event stream (cached;
-// rebuilt incrementally as new events arrive).
+// whole bus on.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -83,7 +60,6 @@
 #include "common/units.h"
 #include "obs/obs.h"
 #include "sim/sched_heap.h"
-#include "sim/spsc.h"
 #include "verify/verify.h"
 
 namespace pstk::sim {
@@ -131,16 +107,6 @@ struct RunResult {
   SimTime end_time = 0;   // virtual time frontier at completion
   std::size_t completed = 0;
   std::size_t killed = 0;
-};
-
-/// Legacy trace record, kept for tests that predate the obs bus. Rebuilt
-/// on demand from the typed event stream; new code should read
-/// Engine::obs() directly.
-struct TraceEvent {
-  SimTime time;
-  Pid pid;
-  std::string tag;
-  std::string detail;
 };
 
 /// Handle passed to every process body; all simulation services hang off it.
@@ -227,7 +193,6 @@ struct Proc {
   std::unique_ptr<ProcExec> exec;
 
   ProcState state = ProcState::kReady;
-  int shard = 0;                 // owning shard (0 when unsharded)
   SimTime clock = 0;             // local virtual time
   SimTime wake_at = 0;           // valid when kReady
   std::uint64_t ready_stamp = 0; // generation for lazy heap deletion
@@ -266,45 +231,18 @@ class ExecBackend {
   virtual void Unwind(Engine& engine, Proc& p) = 0;
 };
 
-/// Sharded-execution configuration (see the file comment). The default —
-/// one shard — is the single-threaded engine unchanged.
-struct ShardOptions {
-  /// Host-parallel shards. 1 = classic single-threaded engine.
-  int shards = 1;
-  /// node -> shard placement. Default: node % shards. Everything a
-  /// framework couples tightly (one job's ranks and their mailboxes)
-  /// should map to one shard; cross-shard interaction must go through
-  /// engine primitives respecting `lookahead`.
-  std::function<int(int node)> shard_of_node;
-  /// Minimum virtual-time separation L(src, dst) > 0 promised by every
-  /// cross-shard interaction; derive it from the interconnect with
-  /// net::ShardLookahead. Required when more than one shard is populated.
-  std::function<SimTime(int src, int dst)> lookahead;
-  /// Slots per cross-shard SPSC ring; overflow spills to a shard-local
-  /// vector (counted in sim.shard.channel_spills), never blocks.
-  std::size_t channel_capacity = 4096;
-};
-
 /// The simulation engine. Not thread-safe in the conventional sense: its
 /// methods must only be called from the engine's own control flow — i.e.
-/// before Run(), from inside process bodies, or from scheduled events.
-/// With one shard that control flow is single-threaded; with N shards it
-/// is N worker threads whose interactions are confined to the windowed
-/// protocol described in the file comment.
+/// before Run(), from inside process bodies, or from scheduled events —
+/// which is single-threaded (one process or the engine runs at a time).
 class Engine {
  public:
   explicit Engine(std::uint64_t seed = 1, Backend backend = DefaultBackend());
-  Engine(std::uint64_t seed, Backend backend, ShardOptions shard_options);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   [[nodiscard]] Backend backend() const { return backend_; }
-  [[nodiscard]] int shard_count() const {
-    return static_cast<int>(shards_.size());
-  }
-  /// The shard that owns processes placed on `node`.
-  [[nodiscard]] int ShardOfNode(int node) const;
 
   /// Create a process; it becomes runnable at `start` (default: spawner's
   /// clock, or 0 when spawned before Run()).
@@ -319,14 +257,8 @@ class Engine {
   /// Waking a finished process is a no-op.
   void Wake(Pid pid, SimTime t);
 
-  /// Execute `fn` in the engine's control flow at virtual time `t` (on
-  /// the calling shard when sharded).
+  /// Execute `fn` in the engine's control flow at virtual time `t`.
   void ScheduleEvent(SimTime t, std::function<void()> fn);
-
-  /// Like ScheduleEvent, but the event runs on the shard that owns
-  /// `node`, so it may touch that shard's processes (node failures use
-  /// this). On an unsharded engine it is plain ScheduleEvent.
-  void ScheduleEventFor(int node, SimTime t, std::function<void()> fn);
 
   /// Kill a process at time `t` (fault injection): it unwinds via
   /// ProcessKilled next time it would run.
@@ -339,10 +271,8 @@ class Engine {
   /// Alive processes placed on `node` (used for node-failure injection).
   [[nodiscard]] std::vector<Pid> AlivePidsOnNode(int node) const;
 
-  /// Virtual-time frontier: the largest clock dispatched so far. On a
-  /// shard worker thread this is the *local* shard's frontier (the only
-  /// causally meaningful one mid-round); elsewhere the max over shards.
-  [[nodiscard]] SimTime now() const;
+  /// Virtual-time frontier: the largest clock dispatched so far.
+  [[nodiscard]] SimTime now() const { return frontier_; }
 
   [[nodiscard]] std::size_t process_count() const { return procs_.size(); }
 
@@ -353,9 +283,6 @@ class Engine {
 
   /// Turn the instrumentation bus on (spans, histograms, user traces).
   void EnableTrace(bool on);
-  /// Compat shim: user Trace() calls as the legacy string records. Cached;
-  /// only events recorded since the previous call are converted.
-  [[nodiscard]] const std::vector<TraceEvent>& trace() const;
 
   /// Blocked-process snapshot, for deadlock diagnostics.
   [[nodiscard]] std::string DescribeBlocked() const;
@@ -376,11 +303,6 @@ class Engine {
   /// completed/killed tallies.
   void ExecuteBody(Proc& p);
 
-  /// Internal (exec backends / shard workers only): bind the calling host
-  /// thread to `shard` — engine-side thread-locals plus the obs shard slot
-  /// — so work done on this thread is attributed to the right shard.
-  void BindExecThread(int shard);
-
  private:
   friend class Context;
 
@@ -400,52 +322,9 @@ class Engine {
     SimTime t;
     std::uint64_t seq;
     std::function<void()> fn;
-    // Internal cross-shard wake delivery: runs like an event but is not a
-    // modeled engine event (no sim.events count — the single-threaded
-    // oracle has no such event, and counters must match it).
-    bool wake_delivery = false;
     [[nodiscard]] bool Before(const EventEntry& o) const {
       return t != o.t ? t < o.t : seq < o.seq;
     }
-  };
-
-  /// One cross-shard scheduler message (SPSC ring payload). `src_seq` is
-  /// the producer's FIFO stamp: the coordinator applies each window's
-  /// messages sorted by (src shard, src_seq), which is deterministic no
-  /// matter how host threads interleaved the sends.
-  struct ShardMsg {
-    enum class Kind : std::uint8_t { kWake, kKill, kEvent };
-    Kind kind = Kind::kWake;
-    int dst_shard = 0;
-    Pid pid = kNoPid;
-    SimTime t = 0;
-    std::uint64_t src_seq = 0;
-    std::function<void()> fn;  // kEvent payload
-  };
-
-  /// One shard: its own scheduling heaps, exec backend, clocks, tallies,
-  /// and outbound channel. With one shard this is simply *the* engine
-  /// state and the coordinator machinery stays dormant.
-  struct Shard {
-    DaryHeap<ReadyEntry> ready;
-    DaryHeap<EventEntry> events;
-    std::unique_ptr<ExecBackend> exec;
-    Pid running = kNoPid;
-    SimTime frontier = 0;    // largest clock dispatched on this shard
-    SimTime activation = 0;  // virtual time of the current action
-    SimTime bound = 0;       // this window's safe horizon (exclusive)
-    std::uint64_t mid_seq = 0;   // FIFO for events scheduled mid-round
-    std::uint64_t msg_seq = 0;   // FIFO stamp for outbound messages
-    std::size_t completed = 0;
-    std::size_t killed = 0;
-    struct Fatal {
-      SimTime t = 0;
-      Pid pid = kNoPid;
-      std::exception_ptr error;
-    };
-    std::optional<Fatal> fatal;  // first process exception this round
-    std::unique_ptr<SpscRing<ShardMsg>> outbox;  // producer: this shard
-    std::vector<ShardMsg> spill;  // overflow when the ring is full
   };
 
   // -- called from process stacks ----------------------------------------
@@ -457,54 +336,32 @@ class Engine {
   void CheckKilled(Proc& p);
 
   // -- engine loop -------------------------------------------------------
-  void DispatchProc(Shard& s, Pid pid);
+  void DispatchProc(Pid pid);
   void MakeReady(Pid pid, SimTime wake_at);
   void RemoveReady(Pid pid);
-  void PruneReady(Shard& s);  // discard stale lazy-deleted entries at top
+  void PruneReady();  // discard stale lazy-deleted entries at top
   void JoinAll();
-  /// Process one action (event or dispatch) below s.bound; false when the
-  /// shard has nothing left below its horizon (or hit a process error).
-  bool StepShard(Shard& s);
-  RunResult RunEpilogue(std::exception_ptr fatal);
-
-  // -- sharded run (shard.cc) --------------------------------------------
-  RunResult RunSharded();
-  void ShardWorkerMain(int shard);
-  void RunShardRound(Shard& s);
-  void BuildLookaheadMatrix();
-  void DrainChannels();    // coordinator: rings + spills -> heaps
-  bool ComputeBounds();    // coordinator: next-action times -> bounds
-  void ApplyWake(Pid pid, SimTime t);  // Wake minus the counter bump
-  void SendCrossShard(Shard& from, ShardMsg msg);
-  [[nodiscard]] SimTime LookaheadOrDie(int src, int dst) const;
-  /// Calling thread's shard while inside a parallel round, else -1.
-  [[nodiscard]] int CurrentShardIndex() const;
-  [[nodiscard]] Shard& CurrentShard();
+  /// Run the earliest action: one engine event or one process dispatch.
+  /// An event runs before a process whose wake time equals its time;
+  /// events at equal times run in the order they were scheduled, and
+  /// processes at equal wake times in pid order. False when nothing is
+  /// left to run or a process body threw (fatal_ is then set).
+  bool Step();
 
   std::uint64_t seed_;
   Backend backend_;
-  ShardOptions shard_options_;
-  std::vector<std::unique_ptr<Shard>> shards_;  // size >= 1, set in ctor
+  DaryHeap<ReadyEntry> ready_;
+  DaryHeap<EventEntry> events_;
+  std::unique_ptr<ExecBackend> exec_;
   std::vector<std::unique_ptr<Proc>> procs_;
-  std::uint64_t event_seq_ = 0;    // pre-run / single-shard event FIFO
-  std::uint64_t routed_seq_ = 0;   // coordinator-applied message FIFO
-  std::vector<SimTime> lookahead_;  // shards x shards, built at Run()
-  int populated_shards_ = 0;       // shards with procs/events at Run()
-
+  std::uint64_t event_seq_ = 0;  // FIFO tie-break among equal-time events
+  Pid running_ = kNoPid;
+  SimTime frontier_ = 0;    // largest clock dispatched so far
+  SimTime activation_ = 0;  // virtual time of the current action
+  std::size_t completed_ = 0;
+  std::size_t killed_ = 0;
+  std::exception_ptr fatal_;  // first process exception; stops the run
   bool running_loop_ = false;
-  bool in_parallel_ = false;  // inside a parallel round (workers running)
-
-  // Worker release/park handshake (coordinator <-> shard workers).
-  std::mutex round_mu_;
-  std::condition_variable round_start_cv_;
-  std::condition_variable round_done_cv_;
-  std::uint64_t round_ = 0;
-  std::size_t round_running_ = 0;
-  bool shutdown_workers_ = false;
-  std::vector<std::thread> workers_;
-
-  static thread_local const Engine* tls_engine_;
-  static thread_local int tls_shard_;
 
   obs::Registry obs_;
   verify::Hub verify_;
@@ -520,14 +377,6 @@ class Engine {
     obs::TagId dispatch_ns = obs::kNoTag; // histogram: host ns per dispatch
   };
   SimTags tags_;
-  struct ShardTags {
-    obs::TagId rounds = obs::kNoTag;   // counter: synchronization windows
-    obs::TagId msgs = obs::kNoTag;     // counter: cross-shard messages
-    obs::TagId spills = obs::kNoTag;   // counter: ring-full overflows
-  };
-  ShardTags shard_tags_;
-  mutable std::vector<TraceEvent> trace_compat_;
-  mutable std::size_t trace_seen_ = 0;  // obs events already converted
 };
 
 /// Condition-variable analogue in virtual time: processes Wait; another

@@ -28,8 +28,8 @@
 // TSan likewise models each fiber as its own synchronization entity:
 // every swapcontext is announced with __tsan_switch_to_fiber so the race
 // detector attributes memory accesses to the fiber (not the host thread's
-// original stack), which is what lets the sharded engine's TSan CI leg
-// run fiber workloads without false positives on stack reuse.
+// original stack), which is what lets the TSan CI job run fiber workloads
+// without false positives on stack reuse.
 #if defined(PSTK_HAVE_TSAN_FIBER)
 #if defined(__SANITIZE_THREAD__)
 #define PSTK_FIBER_TSAN 1
@@ -200,8 +200,8 @@ void FiberBackend::Resume(Engine& engine, Proc& p) {
 #endif
 #if defined(PSTK_FIBER_TSAN)
   // The engine side of the switch may be a different host thread than the
-  // one that ran this backend last (sharded teardown unwinds on the main
-  // thread), so re-capture the engine fiber every Resume.
+  // one that ran this backend last (an engine may be run and torn down on
+  // different host threads), so re-capture the engine fiber every Resume.
   tsan_engine_fiber_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(x.tsan_fiber, 0);
 #endif

@@ -23,7 +23,7 @@
 // header and defines PSTK_HAVE_SANITIZER_FIBER). Under TSan every fiber
 // is registered as its own synchronization entity and each swapcontext is
 // announced via __tsan_switch_to_fiber (PSTK_HAVE_TSAN_FIBER), which is
-// what the sharded engine's TSan CI leg relies on. UBSan needs no
+// what lets the TSan CI job run fiber workloads. UBSan needs no
 // annotations.
 #pragma once
 
@@ -116,7 +116,7 @@ class FiberBackend final : public ExecBackend {
   std::size_t engine_stack_size_ = 0;
   void* engine_fake_stack_ = nullptr;
   // TSan fiber entity of the engine-side thread, re-captured every Resume
-  // (teardown may unwind from a different host thread than the run).
+  // (an engine may be run and torn down on different host threads).
   void* tsan_engine_fiber_ = nullptr;
 };
 

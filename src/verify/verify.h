@@ -62,9 +62,7 @@ class Hub;
 
 /// Base class for runtime checkers. Every hook has a no-op default, so a
 /// checker overrides only the events it cares about. Hooks fire inline
-/// from the simulation in deterministic order; on a sharded engine a
-/// framework's hooks all fire from the one shard that hosts the job, and
-/// Hub::Report serializes findings across shards.
+/// from the simulation in deterministic order.
 class Checker {
  public:
   virtual ~Checker() = default;
@@ -251,11 +249,7 @@ class Hub {
   }
 
   // --- findings -----------------------------------------------------------
-  /// Serialized: with a sharded engine, checker hooks fire concurrently
-  /// from shard worker threads (each shard's hooks stay in its own
-  /// deterministic order; cross-shard finding interleaving is host-timing
-  /// dependent, which is why assertions should count/filter findings, not
-  /// compare their global order).
+  /// Serialized by a mutex, so a checker may report from any host thread.
   void Report(Finding finding) {
     std::lock_guard<std::mutex> lk(mu_);
     if (finding.severity == Severity::kError) ++errors_;
@@ -301,7 +295,7 @@ class Hub {
 
  private:
   std::vector<std::unique_ptr<Checker>> checkers_;
-  std::mutex mu_;  // guards findings_/errors_ against concurrent shards
+  std::mutex mu_;  // guards findings_/errors_
   std::vector<Finding> findings_;
   std::size_t errors_ = 0;
 };

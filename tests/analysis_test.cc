@@ -832,38 +832,6 @@ void f(mpi::Comm& comm, int iters) {
       << RenderLintReport(findings);
 }
 
-TEST(LintRuleTest, BlockingReachableFromDrainFlagged) {
-  const auto findings = Findings(R"cc(
-void PumpOne(Engine& eng) {
-  eng.cv.wait(lock);
-}
-void DrainChannels(Engine& eng) {
-  PumpOne(eng);
-}
-)cc");
-  ASSERT_EQ(CountRule(findings, "sim-blocking-in-drain"), 1)
-      << RenderLintReport(findings);
-  EXPECT_EQ(findings[0].severity, Severity::kError);
-  EXPECT_EQ(findings[0].line, 3);  // the blocking site inside PumpOne
-  ASSERT_EQ(findings[0].related.size(), 1u);
-  EXPECT_EQ(findings[0].related[0].line, 5);  // the drain root
-}
-
-TEST(LintRuleTest, NonBlockingDrainAndBlockingElsewhereAreClean) {
-  const auto findings = Findings(R"cc(
-void DrainChannels(Engine& eng) {
-  while (eng.ring.Pop(msg)) {
-    Apply(msg);
-  }
-}
-void RunRound(Engine& eng) {
-  eng.cv.wait(lock);
-}
-)cc");
-  EXPECT_EQ(CountRule(findings, "sim-blocking-in-drain"), 0)
-      << RenderLintReport(findings);
-}
-
 TEST(LintRuleTest, BlockingReachableFromSubmitPathFlagged) {
   // Submit() reaches a blocking wait through a helper — the scheduler's
   // submit path runs inside an engine event handler, so this must flag.
@@ -969,44 +937,6 @@ void ControlPlaneRpc(std::string body) {
 }
 )cc");
   EXPECT_EQ(CountRule(findings, "dataplane-copy-in-hot-path"), 0)
-      << RenderLintReport(findings);
-}
-
-TEST(LintRuleTest, SpscMultiProducerFlagged) {
-  const auto findings = Findings(R"cc(
-struct Shard {
-  SpscRing<int> outbox;
-};
-void SendCross(Shard& s, int v) {
-  s.outbox.Push(v);
-}
-void StealBack(Shard& s, int v) {
-  s.outbox.Push(v);
-}
-)cc");
-  ASSERT_EQ(CountRule(findings, "sim-spsc-multi-producer"), 1)
-      << RenderLintReport(findings);
-  EXPECT_EQ(findings[0].severity, Severity::kError);
-  // Declaration site and first producer ride along as evidence.
-  ASSERT_EQ(findings[0].related.size(), 2u);
-  EXPECT_NE(findings[0].message.find("outbox"), std::string::npos);
-}
-
-TEST(LintRuleTest, SingleProducerPerRingIsClean) {
-  // One producer per channel — two channels, two distinct producers.
-  const auto findings = Findings(R"cc(
-struct Shard {
-  SpscRing<int> inbox;
-  SpscRing<int> outbox;
-};
-void SendCross(Shard& s, int v) {
-  s.outbox.Push(v);
-}
-void Reply(Shard& s, int v) {
-  s.inbox.Push(v);
-}
-)cc");
-  EXPECT_EQ(CountRule(findings, "sim-spsc-multi-producer"), 0)
       << RenderLintReport(findings);
 }
 

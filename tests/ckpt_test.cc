@@ -209,43 +209,6 @@ TEST(RestartManagerTest, RecoveryIsBackendInvariant) {
   EXPECT_DOUBLE_EQ(fiber_value, kExpectedValue);
 }
 
-TEST(RestartManagerTest, RecoveryIsShardCountInvariant) {
-  // The same faulty job on a sharded host engine, the whole SPMD job
-  // pinned to one shard (its ranks interact at zero lookahead, so they
-  // may not be split): every recovery observable must match the
-  // single-shard run exactly.
-  auto run = [](int shards, double* value) {
-    ckpt::CkptPolicy policy;
-    policy.interval = 0.1;
-    policy.target_disk = ckpt::Target::kNfs;
-    policy.restart_delay = 1.0;
-    auto plan = sim::FaultPlan::Parse("node:1@0.5");
-    EXPECT_TRUE(plan.ok());
-    ckpt::RestartManager manager(policy, plan.value());
-    ckpt::HpcJob job = TestJob();
-    job.shard_options.shards = shards;
-    job.shard_options.shard_of_node = [](int) { return 0; };
-    return manager.RunMpi(job, MpiBody(value));
-  };
-  double one_value = 0.0;
-  double eight_value = 0.0;
-  auto one = run(1, &one_value);
-  auto eight = run(8, &eight_value);
-  ASSERT_TRUE(one.ok()) << one.status().message();
-  ASSERT_TRUE(eight.ok()) << eight.status().message();
-  EXPECT_EQ(one.value().completed, eight.value().completed);
-  EXPECT_EQ(one.value().attempts, eight.value().attempts);
-  EXPECT_EQ(one.value().restarts, eight.value().restarts);
-  EXPECT_EQ(one.value().checkpoints_committed,
-            eight.value().checkpoints_committed);
-  EXPECT_EQ(one.value().snapshot_bytes, eight.value().snapshot_bytes);
-  EXPECT_DOUBLE_EQ(one.value().time_to_solution,
-                   eight.value().time_to_solution);
-  EXPECT_DOUBLE_EQ(one.value().rollback_work, eight.value().rollback_work);
-  EXPECT_DOUBLE_EQ(one_value, eight_value);
-  EXPECT_DOUBLE_EQ(one_value, kExpectedValue);
-}
-
 TEST(RestartManagerTest, AbortRerunRecoversWithoutSnapshots) {
   ckpt::CkptPolicy policy;
   policy.interval = 0;  // checkpointing disabled: abort + full rerun

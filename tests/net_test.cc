@@ -527,79 +527,5 @@ TEST(NetworkTest, MatchingAgreesWithReferenceModel) {
   EXPECT_TRUE(left.empty());
 }
 
-// --------------------------------------------------------------------------
-// Shard lookahead derivation (conservative PDES horizon from the fabric)
-// --------------------------------------------------------------------------
-
-TEST(FabricTest, MinLatencyDistinguishesIntraAndInterNode) {
-  Fabric fabric(4, TransportParams::RdmaFdr());
-  EXPECT_DOUBLE_EQ(fabric.MinLatency(2, 2),
-                   TransportParams::SharedMemory().base_latency);
-  EXPECT_DOUBLE_EQ(fabric.MinLatency(0, 3),
-                   TransportParams::RdmaFdr().base_latency);
-  EXPECT_DOUBLE_EQ(fabric.MinLatency(3, 0), fabric.MinLatency(0, 3));
-  EXPECT_GT(fabric.MinLatency(0, 1), 0.0);
-  // Same-node messages are cheaper than the wire — which is why a shard
-  // pair's lookahead must min over *cross-shard* node pairs only.
-  EXPECT_LT(fabric.MinLatency(1, 1), fabric.MinLatency(0, 1));
-}
-
-TEST(FabricTest, ShardLookaheadMinimizesOverCrossShardNodePairs) {
-  Fabric fabric(4, TransportParams::Ethernet10G());
-  const SimTime wire = TransportParams::Ethernet10G().base_latency;
-  // Default placement (node % shards): every cross-shard node pair is
-  // cross-node, so the bound is the wire latency — not the (smaller)
-  // shared-memory latency of the same-shard pairs.
-  const auto la = ShardLookahead(fabric, /*shard_of_node=*/nullptr, 2);
-  EXPECT_DOUBLE_EQ(la(0, 1), wire);
-  EXPECT_DOUBLE_EQ(la(1, 0), wire);
-  // Custom placement splitting node 0|rest gives the same wire bound.
-  const auto pinned = ShardLookahead(
-      fabric, [](int node) { return node == 0 ? 0 : 1; }, 2);
-  EXPECT_DOUBLE_EQ(pinned(0, 1), wire);
-  EXPECT_DOUBLE_EQ(pinned(1, 0), wire);
-}
-
-TEST(ShardLookaheadTest, DrivesShardedEngineToOracleResult) {
-  // End-to-end: a sharded engine whose lookahead comes from the modeled
-  // fabric, with messaging paced at exactly MinLatency, matches the
-  // single-threaded oracle byte for byte.
-  auto run = [](int shards) {
-    Fabric fabric(4, TransportParams::RdmaFdr());
-    const SimTime wire = fabric.MinLatency(0, 1);
-    sim::ShardOptions opts;
-    opts.shards = shards;
-    opts.lookahead = ShardLookahead(fabric, nullptr, shards);
-    sim::Engine engine(5, sim::Backend::kFibers, std::move(opts));
-    engine.EnableTrace(true);
-    std::vector<sim::Pid> echoes(4);
-    for (int n = 0; n < 4; ++n) {
-      echoes[static_cast<std::size_t>(n)] = engine.Spawn(
-          "echo" + std::to_string(n),
-          [](sim::Context& ctx) {
-            const SimTime woken = ctx.Block("await msg");
-            ctx.Trace("echo", "t=" + std::to_string(woken));
-          },
-          /*node=*/n);
-    }
-    for (int n = 0; n < 4; ++n) {
-      engine.Spawn(
-          "send" + std::to_string(n),
-          [&echoes, n, wire](sim::Context& ctx) {
-            ctx.Compute(0.5 * (n + 1));
-            ctx.engine().Wake(echoes[static_cast<std::size_t>((n + 1) % 4)],
-                              ctx.now() + wire);
-          },
-          /*node=*/n);
-    }
-    auto result = engine.Run();
-    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-    return engine.obs().ToChromeTraceJson();
-  };
-  const std::string oracle = run(1);
-  EXPECT_EQ(run(2), oracle);
-  EXPECT_EQ(run(4), oracle);
-}
-
 }  // namespace
 }  // namespace pstk::net

@@ -130,71 +130,6 @@ TEST(HistogramTest, MergeCombinesExactly) {
   EXPECT_DOUBLE_EQ(a.min(), 0.25);
 }
 
-TEST(RegistryShardTest, MergeReproducesSingleThreadedStream) {
-  // Reference: the event stream a single-threaded engine would record,
-  // actions in global (time, kind, key) order.
-  Registry expected;
-  expected.Enable(true);
-  const TagId ev = expected.Intern("ev");
-  expected.Add(expected.Intern("ops"), 5);
-  expected.Observe(expected.Intern("lat"), 1.0);
-  expected.Observe(expected.Intern("lat"), 4.0);
-  expected.Instant(0, 7, ev, 1.0);   // block (1.0, event, seq 7)
-  expected.Instant(0, 5, ev, 1.0);   // block (1.0, dispatch, pid 5)
-  expected.Instant(1, 9, ev, 2.0);   // block (2.0, dispatch, pid 9)
-  expected.Instant(1, 2, ev, 3.0);   // block (3.0, event, seq 2)
-
-  // The same four scheduler actions recorded from two shard slots, each
-  // shard seeing only its own interleaving-free subsequence.
-  Registry reg;
-  reg.Enable(true);
-  const TagId ops = reg.Intern("ops");
-  const TagId lat = reg.Intern("lat");
-  const TagId tag = reg.Intern("ev");
-  reg.ConfigureShards(2);
-  ASSERT_EQ(reg.shard_count(), 2);
-  Registry::SetCurrentShard(0);
-  reg.Add(ops, 2);
-  reg.Observe(lat, 1.0);
-  reg.MarkBlock(1.0, /*kind=*/1, /*key=*/5);
-  reg.Instant(0, 5, tag, 1.0);
-  reg.MarkBlock(3.0, /*kind=*/0, /*key=*/2);
-  reg.Instant(1, 2, tag, 3.0);
-  Registry::SetCurrentShard(1);
-  reg.Add(ops, 3);
-  reg.Observe(lat, 4.0);
-  reg.MarkBlock(1.0, /*kind=*/0, /*key=*/7);
-  reg.Instant(0, 7, tag, 1.0);
-  reg.MarkBlock(2.0, /*kind=*/1, /*key=*/9);
-  reg.Instant(1, 9, tag, 2.0);
-  Registry::SetCurrentShard(-1);
-  reg.MergeShards();
-  EXPECT_EQ(reg.shard_count(), 0);
-
-  // Events interleave back into global schedule order; counters and
-  // histograms fold; the exported bytes match the single-threaded run.
-  EXPECT_EQ(reg.ToChromeTraceJson(), expected.ToChromeTraceJson());
-  EXPECT_EQ(reg.CounterByName("ops"), 5u);
-  const Histogram* h = reg.histogram(lat);
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 2u);
-  EXPECT_DOUBLE_EQ(h->sum(), 5.0);
-  EXPECT_DOUBLE_EQ(h->min(), 1.0);
-  EXPECT_DOUBLE_EQ(h->max(), 4.0);
-}
-
-TEST(RegistryShardTest, UnboundThreadRecordsToMainStreamWhileSharded) {
-  Registry reg;
-  reg.Enable(true);
-  const TagId ops = reg.Intern("ops");
-  reg.ConfigureShards(2);
-  // The coordinator thread (shard slot unset) keeps writing to the main
-  // stream even while shard logs exist.
-  reg.Add(ops, 7);
-  reg.MergeShards();
-  EXPECT_EQ(reg.CounterByName("ops"), 7u);
-}
-
 TEST(ObsIntegrationTest, EngineAndNetworkTraceIsDeterministic) {
   auto run_once = [] {
     sim::Engine engine(123);

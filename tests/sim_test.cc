@@ -277,9 +277,58 @@ TEST(EngineTest, TraceRecordsEvents) {
     ctx.Trace("phase", "two");
   });
   ASSERT_TRUE(engine.Run().status.ok());
-  ASSERT_EQ(engine.trace().size(), 2u);
-  EXPECT_DOUBLE_EQ(engine.trace()[0].time, 1.0);
-  EXPECT_EQ(engine.trace()[1].detail, "two");
+  const obs::Registry& reg = engine.obs();
+  std::vector<obs::Event> phases;
+  for (const obs::Event& e : reg.events()) {
+    if (reg.Name(e.tag) == "phase") phases.push_back(e);
+  }
+  ASSERT_EQ(phases.size(), 2u);
+  EXPECT_DOUBLE_EQ(phases[0].time, 1.0);
+  EXPECT_EQ(phases[0].phase, obs::Phase::kInstant);
+  EXPECT_EQ(reg.Name(phases[1].detail), "two");
+}
+
+TEST(EngineTest, EqualTimeTieBreaks) {
+  Engine engine;
+  std::vector<std::string> log;
+  engine.ScheduleEvent(2.0, [&log] { log.push_back("t2 before Run"); });
+  engine.ScheduleEvent(1.0, [&engine, &log] {
+    log.push_back("t1 event");
+    engine.ScheduleEvent(2.0, [&log] { log.push_back("t2 from event"); });
+  });
+  engine.Spawn("sleeper", [&log](Context& ctx) {
+    ctx.engine().ScheduleEvent(
+        2.0, [&log] { log.push_back("t2 from process"); });
+    ctx.SleepUntil(1.0);
+    log.push_back("t1 process");
+  });
+  SimTime unwound_at = -1;
+  const Pid victim = engine.Spawn("victim", [&](Context& ctx) {
+    struct Cleanup {
+      Context& ctx;
+      SimTime* at;
+      std::vector<std::string>* log;
+      ~Cleanup() {
+        *at = ctx.now();
+        log->push_back("victim unwound");
+      }
+    } cleanup{ctx, &unwound_at, &log};
+    ctx.SleepUntil(5.0);
+    log.push_back("victim woke");
+  });
+  engine.Kill(victim, 3.0);
+  const RunResult result = engine.Run();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.killed, 1u);
+  // An event runs before a process waking at the same time; equal-time
+  // events run in the order they were scheduled, wherever that happened.
+  const std::vector<std::string> expected = {
+      "t1 event",        "t1 process",    "t2 before Run",
+      "t2 from process", "t2 from event", "victim unwound"};
+  EXPECT_EQ(log, expected);
+  // The kill lands at the kill event's time, not at the victim's
+  // scheduled wake.
+  EXPECT_DOUBLE_EQ(unwound_at, 3.0);
 }
 
 TEST(EngineTest, ConditionDropsKilledWaiter) {
@@ -479,8 +528,8 @@ struct Observed {
   std::size_t killed = 0;
 };
 
-Observed RunMixedWorkload(Backend backend, ShardOptions shard_options = {}) {
-  Engine engine(1234, backend, std::move(shard_options));
+Observed RunMixedWorkload(Backend backend) {
+  Engine engine(1234, backend);
   engine.EnableTrace(true);
   Condition cond;
   for (int i = 0; i < 12; ++i) {
@@ -659,290 +708,6 @@ TEST(SchedHeapTest, PopAfterManyStampsPreservesGlobalOrder) {
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(order[static_cast<std::size_t>(i)], n - 1 - i) << "slot " << i;
   }
-}
-
-// --------------------------------------------------------------------------
-// Sharded engine (conservative PDES): the parallel backend must replay the
-// single-threaded schedule exactly — byte-identical traces and identical
-// RunResults at any shard count — including kills, fault-injected
-// deadlocks, and cross-shard message passing.
-// --------------------------------------------------------------------------
-
-namespace sharded {
-
-constexpr SimTime kLookahead = 2.0;
-
-ShardOptions MakeOptions(int shards) {
-  ShardOptions opts;
-  opts.shards = shards;
-  opts.lookahead = [](int, int) { return kLookahead; };
-  return opts;
-}
-
-struct Observed {
-  std::string trace_json;
-  std::uint64_t dispatches = 0;
-  std::uint64_t events = 0;
-  std::string status;
-  SimTime end_time = 0;
-  std::size_t completed = 0;
-  std::size_t killed = 0;
-};
-
-// Cross-shard ping-pong pairs (the pinger on node n plays against the
-// ponger on node n+1, cross-shard at every tested shard count) plus
-// node-local RNG churn, with an optional fault-injected kill that
-// deadlocks the victim's peer. The exchange is ack-paced — each side
-// parks before its peer's wake lands — because a wake racing an
-// already-ready process is decrease-key-only and would be dropped.
-constexpr int kNodes = 8;
-constexpr int kRounds = 4;
-
-Observed RunPingWorkload(int shards, bool kill_a_ponger) {
-  Engine engine(31, Backend::kFibers, MakeOptions(shards));
-  engine.EnableTrace(true);
-  std::vector<Pid> pongers(kNodes);
-  auto pingers = std::make_shared<std::vector<Pid>>(kNodes, kNoPid);
-  for (int n = 0; n < kNodes; ++n) {
-    pongers[n] = engine.Spawn(
-        "pong" + std::to_string(n),
-        [pingers, n](Context& ctx) {
-          // Our pinger sits one node back along the ring.
-          const Pid peer = (*pingers)[(n + kNodes - 1) % kNodes];
-          for (int k = 0; k < kRounds; ++k) {
-            const SimTime woken = ctx.Block("await ping");
-            ctx.Trace("ping", "k" + std::to_string(k));
-            // The pinger parked right after sending, so this wake honors
-            // the discipline: target parked from before the send until t.
-            ctx.engine().Wake(peer, woken + kLookahead);
-          }
-        },
-        /*node=*/n);
-  }
-  for (int n = 0; n < kNodes; ++n) {
-    (*pingers)[n] = engine.Spawn(
-        "ping" + std::to_string(n),
-        [&pongers, n](Context& ctx) {
-          const Pid peer = pongers[(n + 1) % kNodes];
-          for (int k = 0; k < kRounds; ++k) {
-            ctx.Compute(0.25);
-            ctx.engine().Wake(peer, ctx.now() + kLookahead);
-            ctx.Block("await pong");
-          }
-        },
-        /*node=*/n);
-  }
-  for (int n = 0; n < kNodes; ++n) {
-    engine.Spawn(
-        "churn" + std::to_string(n),
-        [](Context& ctx) {
-          for (int k = 0; k < 6; ++k) {
-            ctx.Compute(ctx.rng().Uniform(0.0, 0.3));
-            ctx.Yield();
-          }
-        },
-        /*node=*/n);
-  }
-  if (kill_a_ponger) {
-    // Killing pong3 mid-run strands ping2 in Block("await pong"): the
-    // run must end in a deadlock whose report is shard-count-invariant.
-    engine.Kill(pongers[3], 3.0);
-  }
-  auto result = engine.Run();
-  Observed out;
-  out.trace_json = engine.obs().ToChromeTraceJson();
-  out.dispatches = engine.obs().CounterByName("sim.dispatches");
-  out.events = engine.obs().CounterByName("sim.events");
-  out.status = result.status.ToString();
-  out.end_time = result.end_time;
-  out.completed = result.completed;
-  out.killed = result.killed;
-  return out;
-}
-
-}  // namespace sharded
-
-TEST(ShardedEngineTest, ShardOfNodeDefaultsToModulo) {
-  Engine engine(1, Backend::kFibers, sharded::MakeOptions(3));
-  EXPECT_EQ(engine.shard_count(), 3);
-  EXPECT_EQ(engine.ShardOfNode(0), 0);
-  EXPECT_EQ(engine.ShardOfNode(4), 1);
-  EXPECT_EQ(engine.ShardOfNode(5), 2);
-  ShardOptions pinned = sharded::MakeOptions(4);
-  pinned.shard_of_node = [](int) { return 2; };
-  Engine custom(1, Backend::kFibers, pinned);
-  EXPECT_EQ(custom.ShardOfNode(17), 2);
-}
-
-TEST(ShardedEngineTest, PingWorkloadByteIdenticalAcrossShardCounts) {
-  const auto oracle = sharded::RunPingWorkload(1, /*kill_a_ponger=*/false);
-  EXPECT_EQ(oracle.status, "OK");
-  EXPECT_EQ(oracle.completed, 24u);
-  for (int shards : {2, 8}) {
-    const auto par = sharded::RunPingWorkload(shards, false);
-    EXPECT_EQ(par.trace_json, oracle.trace_json) << shards << " shards";
-    EXPECT_EQ(par.dispatches, oracle.dispatches) << shards << " shards";
-    EXPECT_EQ(par.events, oracle.events) << shards << " shards";
-    EXPECT_EQ(par.status, oracle.status) << shards << " shards";
-    EXPECT_DOUBLE_EQ(par.end_time, oracle.end_time) << shards << " shards";
-    EXPECT_EQ(par.completed, oracle.completed) << shards << " shards";
-    EXPECT_EQ(par.killed, oracle.killed) << shards << " shards";
-  }
-}
-
-TEST(ShardedEngineTest, KillAndDeadlockReportShardCountInvariant) {
-  const auto oracle = sharded::RunPingWorkload(1, /*kill_a_ponger=*/true);
-  EXPECT_NE(oracle.status, "OK");
-  EXPECT_NE(oracle.status.find("await pong"), std::string::npos);
-  EXPECT_EQ(oracle.killed, 1u);
-  for (int shards : {2, 8}) {
-    const auto par = sharded::RunPingWorkload(shards, true);
-    EXPECT_EQ(par.trace_json, oracle.trace_json) << shards << " shards";
-    EXPECT_EQ(par.status, oracle.status) << shards << " shards";
-    EXPECT_DOUBLE_EQ(par.end_time, oracle.end_time) << shards << " shards";
-    EXPECT_EQ(par.completed, oracle.completed) << shards << " shards";
-    EXPECT_EQ(par.killed, oracle.killed) << shards << " shards";
-  }
-}
-
-TEST(ShardedEngineTest, MixedWorkloadOnPinnedShardMatchesOracle) {
-  // A job confined to one shard of a multi-shard engine (every node
-  // pinned to shard 0 — the layout the framework layers use) behaves
-  // exactly like the unsharded engine, including its mid-run Spawn from a
-  // scheduled event, its condition churn, and its fault-injected kill.
-  const auto oracle = crossbackend::RunMixedWorkload(Backend::kFibers);
-  for (int shards : {2, 8}) {
-    ShardOptions opts;
-    opts.shards = shards;
-    opts.shard_of_node = [](int) { return 0; };
-    const auto par = crossbackend::RunMixedWorkload(Backend::kFibers, opts);
-    EXPECT_EQ(par.trace_json, oracle.trace_json) << shards << " shards";
-    EXPECT_EQ(par.dispatches, oracle.dispatches) << shards << " shards";
-    EXPECT_EQ(par.status.ToString(), oracle.status.ToString());
-    EXPECT_DOUBLE_EQ(par.end_time, oracle.end_time);
-    EXPECT_EQ(par.completed, oracle.completed);
-    EXPECT_EQ(par.killed, oracle.killed);
-  }
-}
-
-TEST(ShardedEngineTest, CrossShardChannelsCarryTraffic) {
-  Engine engine(7, Backend::kFibers, sharded::MakeOptions(2));
-  const Pid receiver = engine.Spawn(
-      "recv", [](Context& ctx) { ctx.Block("await"); }, /*node=*/0);
-  engine.Spawn(
-      "send",
-      [receiver](Context& ctx) {
-        ctx.Compute(0.5);
-        ctx.engine().Wake(receiver, ctx.now() + sharded::kLookahead);
-      },
-      /*node=*/1);
-  auto result = engine.Run();
-  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_EQ(result.completed, 2u);
-  EXPECT_GE(engine.obs().CounterByName("sim.shard.rounds"), 1u);
-  EXPECT_GE(engine.obs().CounterByName("sim.shard.msgs"), 1u);
-}
-
-TEST(ShardedEngineTest, TinyChannelSpillsInsteadOfBlocking) {
-  // Capacity-2 rings under a burst of cross-shard wakes: overflow must
-  // spill (counted) and every message still arrive.
-  ShardOptions opts = sharded::MakeOptions(2);
-  opts.channel_capacity = 2;
-  Engine engine(7, Backend::kFibers, opts);
-  const int kPeers = 16;
-  std::vector<Pid> receivers(kPeers);
-  for (int i = 0; i < kPeers; ++i) {
-    receivers[i] = engine.Spawn(
-        "recv" + std::to_string(i),
-        [](Context& ctx) { ctx.Block("await"); }, /*node=*/0);
-  }
-  engine.Spawn(
-      "burst",
-      [&receivers](Context& ctx) {
-        for (const Pid pid : receivers) {
-          ctx.engine().Wake(pid, ctx.now() + sharded::kLookahead);
-        }
-      },
-      /*node=*/1);
-  auto result = engine.Run();
-  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_EQ(result.completed, static_cast<std::size_t>(kPeers) + 1);
-  EXPECT_GE(engine.obs().CounterByName("sim.shard.channel_spills"), 1u);
-}
-
-TEST(ShardedEngineTest, ScheduleEventForRunsOnOwningShard) {
-  Engine engine(1, Backend::kFibers, sharded::MakeOptions(2));
-  engine.Spawn(
-      "bystander", [](Context& ctx) { ctx.SleepUntil(10.0); }, /*node=*/0);
-  const Pid victim = engine.Spawn(
-      "victim", [](Context& ctx) { ctx.Block("forever"); }, /*node=*/1);
-  // KillNow is shard-affine; ScheduleEventFor must land this event on
-  // node 1's shard or the engine aborts.
-  engine.ScheduleEventFor(1, 5.0, [&engine, victim] { engine.KillNow(victim); });
-  auto result = engine.Run();
-  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_EQ(result.killed, 1u);
-  EXPECT_EQ(result.completed, 1u);
-}
-
-TEST(ShardedEngineTest, ExceptionPropagatesAndUnwindsAcrossShards) {
-  ShardOptions opts = sharded::MakeOptions(2);
-  Engine engine(1, Backend::kFibers, opts);
-  bool bystander_cleanup = false;
-  engine.Spawn(
-      "bystander",
-      [&](Context& ctx) {
-        struct Cleanup {
-          bool* flag;
-          ~Cleanup() { *flag = true; }
-        } cleanup{&bystander_cleanup};
-        ctx.Block("forever");
-      },
-      /*node=*/0);
-  engine.Spawn(
-      "thrower",
-      [](Context& ctx) {
-        ctx.Compute(1.0);
-        throw std::runtime_error("sharded boom");
-      },
-      /*node=*/1);
-  EXPECT_THROW(engine.Run(), std::runtime_error);
-  EXPECT_TRUE(bystander_cleanup);
-}
-
-TEST(ShardedEngineDeathTest, TwoPopulatedShardsRequireLookahead) {
-  ShardOptions opts;
-  opts.shards = 2;  // no lookahead function
-  EXPECT_DEATH(
-      {
-        Engine engine(1, Backend::kFibers, opts);
-        engine.Spawn("a", [](Context& ctx) { ctx.Compute(1.0); }, 0);
-        engine.Spawn("b", [](Context& ctx) { ctx.Compute(1.0); }, 1);
-        engine.Run();
-      },
-      "requires ShardOptions.lookahead");
-}
-
-TEST(ShardedEngineDeathTest, LookaheadViolationAbortsAtSend) {
-  EXPECT_DEATH(
-      {
-        ShardOptions opts;
-        opts.shards = 2;
-        opts.lookahead = [](int, int) { return 1.0; };
-        Engine engine(1, Backend::kFibers, opts);
-        const Pid receiver = engine.Spawn(
-            "recv", [](Context& ctx) { ctx.Block("await"); }, 0);
-        engine.Spawn(
-            "cheater",
-            [receiver](Context& ctx) {
-              // Promises an effect only 0.5 into the future on a fabric
-              // whose minimum latency is 1.0: causality would break.
-              ctx.engine().Wake(receiver, ctx.now() + 0.5);
-            },
-            1);
-        engine.Run();
-      },
-      "violates lookahead");
 }
 
 TEST(FiberSchedulerTest, StackPoolReusesAcrossSequentialSpawns) {
