@@ -28,18 +28,6 @@ void Observability::ParseFlags(int* argc, char** argv) {
       metrics_ = true;
     } else if (arg == "--verify") {
       verify_ = true;
-    } else if (arg.rfind("--sim-backend=", 0) == 0) {
-      const std::string_view name = arg.substr(std::strlen("--sim-backend="));
-      const auto backend = sim::ParseBackendName(name);
-      if (!backend.has_value()) {
-        std::fprintf(stderr,
-                     "unknown --sim-backend '%.*s' (valid backends: %.*s)\n",
-                     static_cast<int>(name.size()), name.data(),
-                     static_cast<int>(sim::ValidBackendNames().size()),
-                     sim::ValidBackendNames().data());
-        std::exit(2);
-      }
-      sim::SetDefaultBackend(*backend);
     } else if (arg.rfind("--arrivals=", 0) == 0) {
       arrivals_ = std::string(arg.substr(std::strlen("--arrivals=")));
     } else if (arg.rfind("--faults=", 0) == 0) {

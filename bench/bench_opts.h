@@ -20,12 +20,6 @@
 //                    (svc_answerscount); parsed lazily with
 //                    sched::ArrivalSpec::Parse so bench_opts itself does
 //                    not depend on pstk_sched. Ignored by batch benches.
-//   --sim-backend=fibers|threads
-//                    execution backend for every engine the bench builds
-//                    (sets sim::SetDefaultBackend; overrides the
-//                    PSTK_SIM_BACKEND env var). Traces and results are
-//                    byte-identical across backends; only wall-clock
-//                    differs.
 //
 // Usage pattern (see fig6_pagerank_bdb.cc):
 //   int main(int argc, char** argv) {

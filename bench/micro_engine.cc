@@ -1,24 +1,20 @@
-// Engine dispatch-throughput microbenchmark (the tentpole measurement for
-// the fiber scheduler): a spawn/yield/block storm at 10^3 / 10^4 / 10^5
-// processes, run on both execution backends, reporting scheduler
-// dispatches per wall-clock second.
+// Engine dispatch-throughput microbenchmark: a spawn/yield/block storm at
+// 10^3 / 10^4 / 10^5 processes, reporting scheduler dispatches per
+// wall-clock second.
 //
 // Each process runs `rounds` iterations alternating Yield() (ready-heap
 // churn) with a Block() woken by a same-instant scheduled event
 // (event-heap churn + wake decrease-key). Every iteration costs exactly
-// one dispatch on either backend, so dispatch/s isolates the control
-// transfer + scheduler-structure cost the backends differ in. The thread
-// backend is capped at 10^4 processes — 10^5 OS threads is not a
-// reasonable ask of the host — while the fiber backend runs the full
-// sweep.
+// one dispatch, so dispatch/s isolates the fiber switch + scheduler-
+// structure cost.
 //
 // Flags:
-//   --smoke            small sizes (both backends), for ctest
+//   --smoke            small sizes, for ctest
 //   --out=<file>       write machine-readable results (BENCH_engine.json)
 //   --baseline=<file>  compare smoke throughput against a checked-in
 //                      BENCH_engine.baseline.json and exit nonzero on a
 //                      >30% regression (CI gate)
-// plus the shared bench flags (--sim-backend= etc., see bench_opts.h).
+// plus the shared bench flags (--trace= etc., see bench_opts.h).
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -36,13 +32,11 @@
 
 namespace {
 
-using pstk::sim::Backend;
 using pstk::sim::Context;
 using pstk::sim::Engine;
 using pstk::sim::Pid;
 
 struct StormResult {
-  Backend backend;
   std::size_t procs = 0;
   std::size_t rounds = 0;
   std::uint64_t dispatches = 0;
@@ -73,10 +67,10 @@ pstk::sim::ProcessBody StormBody(std::size_t rounds) {
 
 // One storm run: `procs` processes x `rounds` iterations of
 // yield-then-blocked-wake. Deterministic: the trace is a pure function of
-// (procs, rounds) on either backend.
-StormResult RunStorm(Backend backend, std::size_t procs, std::size_t rounds) {
+// (procs, rounds).
+StormResult RunStorm(std::size_t procs, std::size_t rounds) {
   const auto t0 = std::chrono::steady_clock::now();
-  Engine engine(/*seed=*/42, backend);
+  Engine engine(/*seed=*/42);
   for (std::size_t i = 0; i < procs; ++i) {
     engine.Spawn("storm." + std::to_string(i), StormBody(rounds));
   }
@@ -86,7 +80,6 @@ StormResult RunStorm(Backend backend, std::size_t procs, std::size_t rounds) {
                                          << result.status.ToString());
   PSTK_CHECK_MSG(result.completed == procs, "storm lost processes");
   StormResult out;
-  out.backend = backend;
   out.procs = procs;
   out.rounds = rounds;
   out.dispatches = engine.obs().CounterByName("sim.dispatches");
@@ -95,12 +88,10 @@ StormResult RunStorm(Backend backend, std::size_t procs, std::size_t rounds) {
 }
 
 void AppendJson(std::string* json, const StormResult& r) {
-  char buf[320];
+  char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "    {\"backend\": \"%s\", \"procs\": %zu, "
-                "\"rounds\": %zu, \"dispatches\": %" PRIu64
+                "    {\"procs\": %zu, \"rounds\": %zu, \"dispatches\": %" PRIu64
                 ", \"wall_s\": %.6f, \"dispatch_per_s\": %.0f}",
-                std::string(pstk::sim::BackendName(r.backend)).c_str(),
                 r.procs, r.rounds, r.dispatches, r.wall_s, r.DispatchPerSec());
   if (!json->empty()) *json += ",\n";
   *json += buf;
@@ -152,45 +143,16 @@ int main(int argc, char** argv) {
   const unsigned host_cores = std::thread::hardware_concurrency();
 
   std::string json;
-  std::vector<StormResult> fiber_results;
-  std::vector<StormResult> thread_results;
+  std::vector<StormResult> results;
   std::printf("host cores: %u\n", host_cores);
-  std::printf("%-8s %9s %7s %12s %9s %14s\n", "backend", "procs", "rounds",
-              "dispatches", "wall_s", "dispatch/s");
-  auto print_row = [](const StormResult& r) {
-    std::printf("%-8s %9zu %7zu %12" PRIu64 " %9.3f %14.0f\n",
-                std::string(pstk::sim::BackendName(r.backend)).c_str(),
-                r.procs, r.rounds, r.dispatches, r.wall_s, r.DispatchPerSec());
-  };
+  std::printf("%9s %7s %12s %9s %14s\n", "procs", "rounds", "dispatches",
+              "wall_s", "dispatch/s");
   for (const Cell& cell : cells) {
-    for (const Backend backend : {Backend::kFibers, Backend::kThreads}) {
-      // 10^5 OS threads would thrash (or exhaust) the host: fiber-only.
-      if (backend == Backend::kThreads && cell.procs > 10000) continue;
-      const StormResult r = RunStorm(backend, cell.procs, cell.rounds);
-      print_row(r);
-      AppendJson(&json, r);
-      (backend == Backend::kFibers ? fiber_results : thread_results)
-          .push_back(r);
-    }
-  }
-
-  // Speedup summaries (the paper-facing numbers): fibers vs threads at
-  // equal size.
-  std::string speedups;
-  for (const StormResult& f : fiber_results) {
-    for (const StormResult& t : thread_results) {
-      if (t.procs != f.procs) continue;
-      const double speedup = t.DispatchPerSec() > 0
-                                 ? f.DispatchPerSec() / t.DispatchPerSec()
-                                 : 0;
-      std::printf("fibers vs threads @ %zu procs: %.1fx\n", f.procs, speedup);
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"procs\": %zu, \"fibers_over_threads\": %.2f}",
-                    f.procs, speedup);
-      if (!speedups.empty()) speedups += ",\n";
-      speedups += buf;
-    }
+    const StormResult r = RunStorm(cell.procs, cell.rounds);
+    std::printf("%9zu %7zu %12" PRIu64 " %9.3f %14.0f\n", r.procs, r.rounds,
+                r.dispatches, r.wall_s, r.DispatchPerSec());
+    AppendJson(&json, r);
+    results.push_back(r);
   }
 
   if (!out_path.empty()) {
@@ -202,9 +164,8 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n  \"bench\": \"micro_engine\",\n  \"mode\": \"%s\",\n"
                  "  \"host_cores\": %u,\n"
-                 "  \"results\": [\n%s\n  ],\n  \"speedup\": [\n%s\n  ]\n}\n",
-                 smoke ? "smoke" : "full", host_cores, json.c_str(),
-                 speedups.c_str());
+                 "  \"results\": [\n%s\n  ]\n}\n",
+                 smoke ? "smoke" : "full", host_cores, json.c_str());
     std::fclose(f);
   }
 
@@ -220,27 +181,21 @@ int main(int argc, char** argv) {
     std::stringstream ss;
     ss << in.rdbuf();
     const std::string baseline = ss.str();
-    bool ok = true;
-    for (const char* key :
-         {"fibers_dispatch_per_s", "threads_dispatch_per_s"}) {
-      const double want = JsonNumber(baseline, key);
-      if (want <= 0) continue;
-      const auto& results =
-          std::strstr(key, "fibers") != nullptr ? fiber_results
-                                                : thread_results;
-      if (results.empty()) continue;
+    const double want = JsonNumber(baseline, "fibers_dispatch_per_s");
+    if (want > 0) {
       const double got = results.front().DispatchPerSec();
       const double floor = 0.7 * want;
-      std::printf("baseline %s: got %.0f, floor %.0f (baseline %.0f)\n", key,
+      std::printf("baseline fibers_dispatch_per_s: got %.0f, floor %.0f "
+                  "(baseline %.0f)\n",
                   got, floor, want);
       if (got < floor) {
         std::fprintf(stderr,
-                     "FAIL: %s regressed >30%% vs baseline (%.0f < %.0f)\n",
-                     key, got, floor);
-        ok = false;
+                     "FAIL: fibers_dispatch_per_s regressed >30%% vs "
+                     "baseline (%.0f < %.0f)\n",
+                     got, floor);
+        return 1;
       }
     }
-    if (!ok) return 1;
   }
   return 0;
 }

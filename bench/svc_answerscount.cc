@@ -32,7 +32,7 @@
 //                      preemption panel's resume-from-snapshot invariants
 //   --arrivals=<spec>  override the Poisson sweep with one arrival process
 //                      (see bench_opts.h)
-// plus the shared bench flags (--sim-backend= etc., see bench_opts.h).
+// plus the shared bench flags (--trace= etc., see bench_opts.h).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

@@ -1,10 +1,8 @@
 #include "analysis/callgraph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <string>
-#include <thread>
 
 #include "analysis/token.h"
 
@@ -335,35 +333,13 @@ std::optional<Program::CollectiveSite> Program::FirstCollectiveSite(
   return found;
 }
 
-Program Program::Analyze(std::vector<ProgramSource> sources, int jobs) {
+Program Program::Analyze(std::vector<ProgramSource> sources) {
   Program p;
   p.know_ = std::make_unique<TaintKnowledge>();
-  // Tokenize + parse are per-file pure work; with jobs > 1 a worker pool
-  // claims file indices off an atomic counter and writes into fixed slots,
-  // so the unit order (and every downstream phase) is scheduling-free.
-  p.units_.resize(sources.size());
-  const auto build_one = [&](std::size_t i) {
-    FileUnit& fu = p.units_[i];
-    fu.file = std::move(sources[i].file);
-    fu.unit = ParseUnit(Tokenize(sources[i].source));
-  };
-  const std::size_t workers = std::min<std::size_t>(
-      jobs > 1 ? static_cast<std::size_t>(jobs) : 1, sources.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < sources.size(); ++i) build_one(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < p.units_.size();
-             i = next.fetch_add(1)) {
-          build_one(i);
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
+  p.units_.reserve(sources.size());
+  for (ProgramSource& source : sources) {
+    p.units_.push_back(FileUnit{std::move(source.file),
+                                ParseUnit(Tokenize(source.source))});
   }
 
   // --- phase 2: taint-knowledge fixpoint ---------------------------------

@@ -91,11 +91,8 @@ class Program {
   };
 
   /// Parse + analyze a whole program. Never fails; unparsable constructs
-  /// degrade to missing information. `jobs` > 1 tokenizes and parses the
-  /// files on that many threads; every later phase (and the result) is
-  /// identical regardless of `jobs` — files land in fixed slots, so the
-  /// analysis order never depends on thread scheduling.
-  static Program Analyze(std::vector<ProgramSource> sources, int jobs = 1);
+  /// degrade to missing information.
+  static Program Analyze(std::vector<ProgramSource> sources);
 
   Program(Program&&) = default;
   Program& operator=(Program&&) = default;

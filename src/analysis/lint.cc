@@ -32,12 +32,6 @@ const RuleInfo kRules[] = {
      "commits — the snapshot can never be restored",
      "call Checkpoint() on every rank at the same collective boundary "
      "(hoist it out of the rank-derived branch)"},
-    {"dataplane-copy-in-hot-path", Severity::kWarning,
-     "by-value payload parameter (std::string / serde::Buffer / byte "
-     "vector) on a function reachable from a task or shuffle root: every "
-     "call deep-copies the payload on the data plane's hot path",
-     "pass buf::Bytes by value instead (refcounted, zero-copy), or take "
-     "the payload by const reference / string_view"},
     {"mpi-blocking-symmetric-send", Severity::kError,
      "blocking Send to a rank-relative peer with a matching Recv after it; "
      "the symmetric exchange deadlocks once messages cross the rendezvous "
@@ -97,13 +91,6 @@ const RuleInfo kRules[] = {
      "loop without a reduction clause (or omp atomic/critical): data race",
      "add reduction(+ : <var>) to the pragma, or guard the update with "
      "#pragma omp atomic"},
-    {"sched-blocking-in-submit-path", Severity::kError,
-     "blocking call reachable from a scheduler submit-path function "
-     "(Submit / OnJob*): these run inside engine event handlers, so a "
-     "block there freezes the whole simulated cluster's event loop, not "
-     "just the submitting job",
-     "defer the blocking work onto a spawned process (engine.Spawn) and "
-     "keep the submit path event-driven"},
     {"shmem-put-without-quiet", Severity::kError,
      "symmetric put followed by a get of the same symmetric object with "
      "no Quiet()/Fence()/BarrierAll() between: the put may not be "
@@ -1436,147 +1423,6 @@ void CheckMissingPersist(const std::string& file, const FunctionFlow& flow,
 }
 
 // ===========================================================================
-// sched-blocking-in-submit-path
-// ===========================================================================
-
-/// For every function matched by `is_root`, flag each blocking call in
-/// its interprocedurally reachable set, once per source line.
-void CheckBlockingReachableFrom(const Program& prog, const char* slug,
-                                bool (*is_root)(const std::string&),
-                                const char* role, const char* rationale,
-                                std::vector<LintFinding>& out) {
-  std::set<std::pair<std::string, int>> seen;
-  for (std::size_t i = 0; i < prog.fns().size(); ++i) {
-    const Program::FnEntry& root = prog.fns()[i];
-    const std::string& name = root.fn->name;
-    if (name.find("::lambda#") != std::string::npos || !is_root(name)) {
-      continue;
-    }
-    std::vector<int> scope = prog.ReachableFrom(static_cast<int>(i));
-    scope.push_back(static_cast<int>(i));
-    for (int idx : scope) {
-      const Program::FnEntry& entry =
-          prog.fns()[static_cast<std::size_t>(idx)];
-      for (const FlowEvent& e : entry.flow.events()) {
-        if (e.call == nullptr || !IsBlockingMethod(e.call->method)) continue;
-        if (!seen.insert({entry.file, e.call->line}).second) continue;
-        LintFinding f = MakeFinding(
-            slug, entry.file, e.call->line,
-            "blocking call " + e.call->method + "() is reachable from " +
-                name + "() — " + rationale);
-        f.related.push_back(RelatedLocation{
-            root.file, root.fn->line,
-            std::string(role) + " " + name + "() defined here"});
-        out.push_back(std::move(f));
-      }
-    }
-  }
-}
-
-/// Submit-path roots: `Submit` / `Foo::Submit`, plus `OnJob*` handlers
-/// (OnJobDone, OnJobArrival, ...) — the scheduler entry points that run
-/// as engine event handlers rather than inside a simulated process.
-bool IsSubmitPathRoot(const std::string& name) {
-  const std::size_t at = name.rfind("::");
-  const std::string_view tail =
-      at == std::string::npos
-          ? std::string_view(name)
-          : std::string_view(name).substr(at + 2);
-  return tail == "Submit" || tail.substr(0, 5) == "OnJob";
-}
-
-void CheckBlockingInSubmitPath(const Program& prog,
-                               std::vector<LintFinding>& out) {
-  CheckBlockingReachableFrom(
-      prog, "sched-blocking-in-submit-path", IsSubmitPathRoot,
-      "submit-path root",
-      "the scheduler's submit path runs inside an engine event "
-      "handler; blocking there freezes the whole simulated cluster's "
-      "event loop, not just the submitting job",
-      out);
-}
-
-// ===========================================================================
-// dataplane-copy-in-hot-path
-// ===========================================================================
-
-/// Task/shuffle roots: the entry points the data plane's hot path hangs
-/// off — per-partition task bodies (RunMapTask / RunReduceTask /
-/// Compute*), and the shuffle transfer surface (FetchShuffle /
-/// CommitShuffleOutput).
-bool IsDataPlaneRoot(const std::string& name) {
-  const std::size_t at = name.rfind("::");
-  const std::string_view tail =
-      at == std::string::npos
-          ? std::string_view(name)
-          : std::string_view(name).substr(at + 2);
-  return tail == "RunMapTask" || tail == "RunReduceTask" ||
-         tail == "FetchShuffle" || tail == "CommitShuffleOutput" ||
-         tail.substr(0, 7) == "Compute";
-}
-
-/// Parameters that are diagnostics rather than data: error/message
-/// strings are by-value move-sinks on cold paths, not payload copies.
-bool IsMessageParamName(const std::string& name) {
-  return name == "msg" || name == "message" || name == "reason" ||
-         name == "what" || name == "label" || name == "description";
-}
-
-/// True when `type` declares a by-value deep-copying payload buffer: a
-/// std::string, serde::Buffer, or byte vector taken without & / * (views,
-/// references, and refcounted buf::Bytes are all fine).
-bool IsByValuePayloadType(const std::string& type) {
-  if (type.find('&') != std::string::npos ||
-      type.find('*') != std::string::npos) {
-    return false;
-  }
-  std::string_view t = type;
-  if (t.substr(0, 6) == "const ") t.remove_prefix(6);
-  while (!t.empty() && t.back() == ' ') t.remove_suffix(1);
-  return t == "std::string" || t == "string" || t == "serde::Buffer" ||
-         t == "Buffer" || t == "std::vector<std::uint8_t>" ||
-         t == "std::vector<uint8_t>" || t == "std::vector<char>";
-}
-
-/// Flag every by-value payload parameter on functions interprocedurally
-/// reachable from a data-plane root: each call into one copies the whole
-/// payload on the hot path the zero-copy plane exists to keep alias-only.
-void CheckDataplaneCopyInHotPath(const Program& prog,
-                                 std::vector<LintFinding>& out) {
-  std::set<std::pair<std::string, int>> seen;
-  for (std::size_t i = 0; i < prog.fns().size(); ++i) {
-    const Program::FnEntry& root = prog.fns()[i];
-    const std::string& name = root.fn->name;
-    if (name.find("::lambda#") != std::string::npos ||
-        !IsDataPlaneRoot(name)) {
-      continue;
-    }
-    std::vector<int> scope = prog.ReachableFrom(static_cast<int>(i));
-    scope.push_back(static_cast<int>(i));
-    for (int idx : scope) {
-      const Program::FnEntry& entry =
-          prog.fns()[static_cast<std::size_t>(idx)];
-      for (const Param& p : entry.fn->params) {
-        if (!IsByValuePayloadType(p.type) || IsMessageParamName(p.name)) {
-          continue;
-        }
-        if (!seen.insert({entry.file, entry.fn->line}).second) continue;
-        LintFinding f = MakeFinding(
-            "dataplane-copy-in-hot-path", entry.file, entry.fn->line,
-            "parameter `" + p.name + "` of " + entry.fn->name +
-                "() takes a " + p.type +
-                " by value on a path reachable from data-plane root " +
-                name + "() — every call deep-copies the payload");
-        f.related.push_back(RelatedLocation{
-            root.file, root.fn->line,
-            "data-plane root " + name + "() defined here"});
-        out.push_back(std::move(f));
-      }
-    }
-  }
-}
-
-// ===========================================================================
 // JSON helpers
 // ===========================================================================
 
@@ -1688,8 +1534,7 @@ std::string SourceLineHash(const std::string& line_text) {
   return buf;
 }
 
-std::vector<LintFinding> LintProgram(std::vector<ProgramSource> sources,
-                                     int jobs) {
+std::vector<LintFinding> LintProgram(std::vector<ProgramSource> sources) {
   // Keep the line text: findings get their drift-tolerant line hash and
   // the int-count fix needs the cast's source line (Analyze consumes the
   // source strings).
@@ -1697,7 +1542,7 @@ std::vector<LintFinding> LintProgram(std::vector<ProgramSource> sources,
   for (const ProgramSource& s : sources) {
     lines_of[s.file] = SourceLines(s.source);
   }
-  const Program prog = Program::Analyze(std::move(sources), jobs);
+  const Program prog = Program::Analyze(std::move(sources));
   std::vector<LintFinding> out;
   for (const Program::FnEntry& entry : prog.fns()) {
     const FunctionFlow& flow = entry.flow;
@@ -1719,8 +1564,6 @@ std::vector<LintFinding> LintProgram(std::vector<ProgramSource> sources,
     CheckOmpRules(entry.file, entry.fn->body, flow, out);
     CheckMissingPersist(entry.file, flow, out);
   }
-  CheckBlockingInSubmitPath(prog, out);
-  CheckDataplaneCopyInHotPath(prog, out);
   std::sort(out.begin(), out.end(),
             [](const LintFinding& a, const LintFinding& b) {
               if (a.file != b.file) return a.file < b.file;
@@ -1770,7 +1613,7 @@ Result<std::vector<LintFinding>> LintFile(const std::string& path) {
 }
 
 Result<std::vector<LintFinding>> LintTree(
-    const std::vector<std::string>& roots, int jobs) {
+    const std::vector<std::string>& roots) {
   namespace fs = std::filesystem;
   std::vector<std::string> files;
   for (const std::string& root : roots) {
@@ -1802,7 +1645,7 @@ Result<std::vector<LintFinding>> LintTree(
     if (!text.ok()) return text.status();
     sources.push_back(ProgramSource{file, std::move(text.value())});
   }
-  return LintProgram(std::move(sources), jobs);
+  return LintProgram(std::move(sources));
 }
 
 Severity WorstSeverity(const std::vector<LintFinding>& findings) {

@@ -124,18 +124,15 @@ std::vector<LintFinding> LintSource(const std::string& file,
 /// Scan a set of sources as one program: call edges cross file
 /// boundaries, so wrapper-hidden misuse in one file is reported at call
 /// sites in another. LintSource and LintTree are wrappers over this.
-/// `jobs` parallelizes the per-file tokenize/parse phase; findings are
-/// byte-identical for every value of `jobs`.
-std::vector<LintFinding> LintProgram(std::vector<ProgramSource> sources,
-                                     int jobs = 1);
+std::vector<LintFinding> LintProgram(std::vector<ProgramSource> sources);
 
 /// Read and scan one file from the host filesystem.
 Result<std::vector<LintFinding>> LintFile(const std::string& path);
 
 /// Recursively scan every .cc/.cpp/.h under each root (files sorted for
 /// deterministic output). Roots may also name single files.
-Result<std::vector<LintFinding>> LintTree(const std::vector<std::string>& roots,
-                                          int jobs = 1);
+Result<std::vector<LintFinding>> LintTree(
+    const std::vector<std::string>& roots);
 
 /// The finding/baseline line hash: 32-bit FNV-1a of the line with leading
 /// and trailing whitespace removed, rendered as 8 hex digits.

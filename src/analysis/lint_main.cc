@@ -23,9 +23,6 @@
 //                              when fixes exist for findings at/above
 //                              --fail-on; --fix writes the files, then
 //                              re-lints to verify the fixes took
-//   --jobs=N                   tokenize/parse files on N threads
-//                              (default: hardware concurrency; findings
-//                              are identical for every N)
 //   --explain=<rule>           print the rule's severity, summary, and
 //                              fix hint, then exit
 //
@@ -33,13 +30,11 @@
 // Exit codes: 0 clean or below threshold, 1 findings at/above --fail-on
 // (or, under --fix, fixable/unfixed findings), 2 usage or I/O error.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/lint.h"
@@ -108,7 +103,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: pstk-lint [--format=text|json|sarif] "
                "[--baseline=<file>] [--fail-on=error|warning|none] "
-               "[--write-baseline] [--fix[=dry-run]] [--jobs=N] "
+               "[--write-baseline] [--fix[=dry-run]] "
                "[--explain=<rule>] [path...]\n");
   return 2;
 }
@@ -123,8 +118,7 @@ Severity Threshold(const std::string& fail_on) {
 /// groups them per file, and either prints the plan (dry-run) or writes
 /// the files and re-lints to verify every applied fix took.
 int RunFix(const std::vector<LintFinding>& findings, bool dry_run,
-           const std::string& fail_on, const std::vector<std::string>& roots,
-           int jobs) {
+           const std::string& fail_on, const std::vector<std::string>& roots) {
   const Severity threshold = Threshold(fail_on);
   std::map<std::string, std::vector<TextEdit>> by_file;
   int fixable = 0;
@@ -196,7 +190,7 @@ int RunFix(const std::vector<LintFinding>& findings, bool dry_run,
   // Verification pass: the fixed tree must not still contain a fixable
   // finding at/above the threshold (that would mean a fix didn't take,
   // and --fix would not be idempotent).
-  auto rescan = pstk::analysis::LintTree(roots, jobs);
+  auto rescan = pstk::analysis::LintTree(roots);
   if (!rescan.ok()) {
     std::fprintf(stderr, "pstk-lint --fix: re-lint failed: %s\n",
                  rescan.status().ToString().c_str());
@@ -228,8 +222,6 @@ int main(int argc, char** argv) {
   bool write_baseline = false;
   bool fix = false;
   bool fix_dry_run = false;
-  unsigned hw = std::thread::hardware_concurrency();
-  int jobs = hw > 0 ? static_cast<int>(hw) : 1;
   std::vector<std::string> roots;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -252,14 +244,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--fix=dry-run") {
       fix = true;
       fix_dry_run = true;
-    } else if (pstk::StartsWith(arg, "--jobs=")) {
-      const std::string n = arg.substr(std::strlen("--jobs="));
-      char* end = nullptr;
-      const long v = std::strtol(n.c_str(), &end, 10);
-      if (end == n.c_str() || *end != '\0' || v < 1 || v > 256) {
-        return Usage();
-      }
-      jobs = static_cast<int>(v);
     } else if (pstk::StartsWith(arg, "--explain=")) {
       return Explain(arg.substr(std::strlen("--explain=")));
     } else if (pstk::StartsWith(arg, "--")) {
@@ -278,7 +262,7 @@ int main(int argc, char** argv) {
 #endif
   }
 
-  auto scanned = pstk::analysis::LintTree(roots, jobs);
+  auto scanned = pstk::analysis::LintTree(roots);
   if (!scanned.ok()) {
     std::fprintf(stderr, "pstk-lint: %s\n",
                  scanned.status().ToString().c_str());
@@ -316,7 +300,7 @@ int main(int argc, char** argv) {
   if (fix) {
     // Fixes run on the post-baseline findings with on-disk paths (the
     // edits are written back); repo-relativization is display-only.
-    return RunFix(findings, fix_dry_run, fail_on, roots, jobs);
+    return RunFix(findings, fix_dry_run, fail_on, roots);
   }
   MakeRepoRelative(findings);
 

@@ -237,7 +237,7 @@ Result<RecoveryOutcome> RestartManager::RunLoop(
   SimTime global = 0;
   std::size_t next_fault = 0;
   for (int attempt = 0; attempt <= policy_.max_restarts; ++attempt) {
-    sim::Engine engine(/*seed=*/1, job.backend);
+    sim::Engine engine(/*seed=*/1);
     cluster::Cluster cluster(engine, job.spec);
     if (job.on_attempt) job.on_attempt(engine, cluster);
     CheckpointCoordinator coordinator(cluster, store, policy_);

@@ -200,10 +200,6 @@ struct HpcJob {
   cluster::ClusterSpec spec;
   int procs = 0;
   int procs_per_node = 0;
-  /// Execution backend for every attempt's engine. Recovery outcomes are
-  /// backend-invariant (tests/ckpt_test.cc checks fibers == threads); the
-  /// field exists so sweeps can pin one explicitly.
-  sim::Backend backend = sim::DefaultBackend();
   /// Called after engine+cluster construction, before ranks spawn — attach
   /// observability, install checkers, stage data.
   std::function<void(sim::Engine&, cluster::Cluster&)> on_attempt;

@@ -58,7 +58,7 @@ void Comm::ChargeCombine(std::size_t elements) {
 void Comm::RawSend(int dest_local, int tag, const void* data, Bytes bytes,
                    bool async) {
   const auto* p = static_cast<const std::uint8_t*>(data);
-  serde::Buffer payload(p, p + bytes);
+  auto payload = buf::Bytes::FromVector(serde::Buffer(p, p + bytes));
   if (async) {
     endpoint().SendAsync(ctx_, GlobalRank(dest_local), tag,
                          std::move(payload));

@@ -761,7 +761,7 @@ void MrEngine::RunMapTask(sim::Context& ctx, Job& job, int worker_id,
 
   serde::Writer done;
   done.WriteRaw<std::int32_t>(map_id);
-  ep.SendAsync(ctx, 0, kTagMapDone, done.TakeBuffer());
+  ep.SendAsync(ctx, 0, kTagMapDone, done.TakeBytes());
 }
 
 void MrEngine::RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
@@ -816,7 +816,7 @@ void MrEngine::RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
     fail.WriteRaw<std::int32_t>(reduce_id);
     fail.WriteVarint(missing.size());
     for (std::int32_t id : missing) fail.WriteRaw<std::int32_t>(id);
-    ep.SendAsync(ctx, 0, kTagFetchFail, fail.TakeBuffer());
+    ep.SendAsync(ctx, 0, kTagFetchFail, fail.TakeBytes());
     return;
   }
 
@@ -861,7 +861,7 @@ void MrEngine::RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
 
   serde::Writer done;
   done.WriteRaw<std::int32_t>(reduce_id);
-  ep.SendAsync(ctx, 0, kTagReduceDone, done.TakeBuffer());
+  ep.SendAsync(ctx, 0, kTagReduceDone, done.TakeBytes());
 }
 
 }  // namespace pstk::mr

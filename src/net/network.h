@@ -17,7 +17,6 @@
 #include "common/check.h"
 #include "common/units.h"
 #include "net/fabric.h"
-#include "serde/serde.h"
 #include "sim/engine.h"
 
 namespace pstk::net {
@@ -49,21 +48,11 @@ class Endpoint {
   /// on the modeled bytes; the simulator only passes a refcount.
   void Send(sim::Context& ctx, int dst, int tag, buf::Bytes payload,
             Bytes modeled_size = 0);
-  void Send(sim::Context& ctx, int dst, int tag, serde::Buffer payload,
-            Bytes modeled_size = 0) {
-    Send(ctx, dst, tag, buf::Bytes::FromVector(std::move(payload)),
-         modeled_size);
-  }
 
   /// Fire-and-forget send (never blocks past NIC occupancy), regardless of
   /// size; used for nonblocking MPI sends and RPC-style control messages.
   void SendAsync(sim::Context& ctx, int dst, int tag, buf::Bytes payload,
                  Bytes modeled_size = 0);
-  void SendAsync(sim::Context& ctx, int dst, int tag, serde::Buffer payload,
-                 Bytes modeled_size = 0) {
-    SendAsync(ctx, dst, tag, buf::Bytes::FromVector(std::move(payload)),
-              modeled_size);
-  }
 
   /// Blocking receive with matching; kAnySource / kAnyTag wildcard.
   Message Recv(sim::Context& ctx, int src = kAnySource, int tag = kAnyTag);

@@ -97,6 +97,9 @@ void Runtime::WorkerLoop(int tid) {
       lock.unlock();
       task();
       if (group->pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        // Notify under mu_: DrainTasks reads pending_ under mu_ and then
+        // waits, and a notify between the two would be lost.
+        lock.lock();
         done_cv_.notify_all();
       }
     }
@@ -151,6 +154,7 @@ void Runtime::DrainTasks(TaskGroup& group) {
       lock.unlock();
       task();
       if (owner->pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        lock.lock();  // see WorkerLoop
         done_cv_.notify_all();
       }
       continue;

@@ -343,7 +343,7 @@ void Scheduler::PreemptGang(JobInfo& victim) {
   victim.state = JobState::kPending;
   ++victim.attempt;
   ++victim.preemptions;
-  --jobs_running_;
+  jobs_running_--;
   ++preemptions_;
   engine_.obs().Add(tags_.preempted);
   // Back to the *front* of its queue: the job already waited its turn, and
@@ -479,7 +479,7 @@ void Scheduler::CompleteJob(int job_id) {
   job.state = JobState::kDone;
   job.end_time = engine_.now();
   ++jobs_done_;
-  --jobs_running_;
+  jobs_running_--;
   engine_.obs().Add(tags_.completed);
   PSTK_INFO("sched") << job.spec.name << " (job " << job_id << ") done at t="
                      << job.end_time;

@@ -35,8 +35,12 @@ class Writer {
   void Reserve(std::size_t total) { buffer_.reserve(total); }
 
   void WriteBytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buffer_.insert(buffer_.end(), p, p + size);
+    // resize + memcpy, not vector::insert: GCC 12 inlines insert's growth
+    // path and reports a false -Wstringop-overflow on it.
+    if (size == 0) return;
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + size);
+    std::memcpy(buffer_.data() + at, data, size);
   }
 
   template <typename T>

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "serde/serde.h"
 
 namespace pstk::shmem {
 
@@ -222,7 +223,8 @@ void Pe::BarrierAll() {
   for (int dist = 1, k = 0; dist < world_.npes_; dist <<= 1, ++k) {
     const int to = (pe_ + dist) % world_.npes_;
     const int from = (pe_ - dist + world_.npes_) % world_.npes_;
-    endpoint().SendAsync(ctx_, to, tag + k, serde::Buffer{token});
+    endpoint().SendAsync(ctx_, to, tag + k,
+                         buf::Bytes::FromVector(serde::Buffer{token}));
     (void)endpoint().Recv(ctx_, from, tag + k);
   }
 }
@@ -250,7 +252,9 @@ void Pe::RawBroadcast(Bytes offset, Bytes bytes, int root) {
     if (relative + mask < n) {
       const int dst = (relative + mask + root) % n;
       const std::uint8_t* data = HeapAt(pe_, offset);
-      endpoint().SendAsync(ctx_, dst, tag, serde::Buffer(data, data + bytes));
+      endpoint().SendAsync(
+          ctx_, dst, tag,
+          buf::Bytes::FromVector(serde::Buffer(data, data + bytes)));
     }
     mask >>= 1;
   }
@@ -276,12 +280,14 @@ void Pe::SumToAllImpl(Bytes dest_off, Bytes src_off, std::size_t count) {
         static_cast<double>(count) * static_cast<double>(n - 1), 1));
     const auto* out = reinterpret_cast<const std::uint8_t*>(dest);
     for (int to = 1; to < n; ++to) {
-      endpoint().SendAsync(ctx_, to, tag + 1,
-                           serde::Buffer(out, out + bytes));
+      endpoint().SendAsync(
+          ctx_, to, tag + 1,
+          buf::Bytes::FromVector(serde::Buffer(out, out + bytes)));
     }
   } else {
     const std::uint8_t* src = HeapAt(pe_, src_off);
-    endpoint().SendAsync(ctx_, 0, tag, serde::Buffer(src, src + bytes));
+    endpoint().SendAsync(
+        ctx_, 0, tag, buf::Bytes::FromVector(serde::Buffer(src, src + bytes)));
     net::Message m = endpoint().Recv(ctx_, 0, tag + 1);
     std::memcpy(HeapAt(pe_, dest_off), m.payload.data(), bytes);
   }

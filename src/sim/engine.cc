@@ -2,160 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <cstdlib>
 #include <map>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "sim/fiber.h"
 
 namespace pstk::sim {
-
-// ---------------------------------------------------------------------------
-// Backend selection
-// ---------------------------------------------------------------------------
-
-std::string_view BackendName(Backend backend) {
-  return backend == Backend::kThreads ? "threads" : "fibers";
-}
-
-std::optional<Backend> ParseBackendName(std::string_view name) {
-  if (name == "fibers") return Backend::kFibers;
-  if (name == "threads") return Backend::kThreads;
-  return std::nullopt;
-}
-
-std::string_view ValidBackendNames() { return "fibers, threads"; }
-
-namespace {
-std::optional<Backend>& BackendOverride() {
-  static std::optional<Backend> override_backend;
-  return override_backend;
-}
-
-// Re-parsed on every call (it's one getenv + two string compares): a
-// cached static would freeze the first observation, and a bad value must
-// fail loudly no matter when the first Engine is constructed.
-Backend EnvBackend() {
-  const char* env = std::getenv("PSTK_SIM_BACKEND");
-  if (env == nullptr || *env == '\0') return Backend::kFibers;
-  const std::optional<Backend> parsed = ParseBackendName(env);
-  PSTK_CHECK_MSG(parsed.has_value(),
-                 "unknown PSTK_SIM_BACKEND '"
-                     << env << "' (valid backends: " << ValidBackendNames()
-                     << ")");
-  return *parsed;
-}
-}  // namespace
-
-Backend DefaultBackend() {
-  const auto& override_backend = BackendOverride();
-  return override_backend.has_value() ? *override_backend : EnvBackend();
-}
-
-void SetDefaultBackend(Backend backend) { BackendOverride() = backend; }
-
-// ---------------------------------------------------------------------------
-// ThreadBackend — the legacy one-OS-thread-per-process execution mechanism.
-// Cooperative batons: `engine_turn_` gates the engine loop, each process
-// thread has its own `proc_turn` flag. Every dispatch is one condvar wake
-// plus one condvar wait on each side (two host context switches).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct ThreadExec final : ProcExec {
-  std::thread thread;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool proc_turn = false;  // true: process may run; false: engine's turn
-  bool started = false;
-};
-
-class ThreadBackend final : public ExecBackend {
- public:
-  ~ThreadBackend() override = default;
-
-  void Resume(Engine& engine, Proc& p) override {
-    auto& x = Exec(p);
-    engine_turn_ = false;
-    if (!x.started) {
-      x.started = true;
-      x.thread = std::thread([this, &engine, &p] { ThreadMain(engine, p); });
-    }
-    {
-      std::lock_guard<std::mutex> lk(x.mu);
-      x.proc_turn = true;
-    }
-    x.cv.notify_one();
-    {
-      std::unique_lock<std::mutex> lk(engine_mu_);
-      engine_cv_.wait(lk, [&] { return engine_turn_; });
-    }
-  }
-
-  void Suspend(Proc& p) override {
-    auto& x = Exec(p);
-    {
-      std::lock_guard<std::mutex> lk(engine_mu_);
-      engine_turn_ = true;
-    }
-    engine_cv_.notify_one();
-    {
-      std::unique_lock<std::mutex> lk(x.mu);
-      x.cv.wait(lk, [&] { return x.proc_turn; });
-      x.proc_turn = false;
-    }
-  }
-
-  void Unwind(Engine& engine, Proc& p) override {
-    auto* x = static_cast<ThreadExec*>(p.exec.get());
-    if (x == nullptr || !x->started) {
-      // Never ran: nothing to join; mark the corpse.
-      if (p.state != ProcState::kDone) p.state = ProcState::kKilled;
-      return;
-    }
-    if (p.state == ProcState::kBlocked || p.state == ProcState::kReady) {
-      // Force the thread to unwind (kill_requested is set) so it can join.
-      Resume(engine, p);
-    }
-    if (x->thread.joinable()) x->thread.join();
-  }
-
- private:
-  static ThreadExec& Exec(Proc& p) {
-    if (p.exec == nullptr) p.exec = std::make_unique<ThreadExec>();
-    return static_cast<ThreadExec&>(*p.exec);
-  }
-
-  void ThreadMain(Engine& engine, Proc& p) {
-    auto& x = static_cast<ThreadExec&>(*p.exec);
-    // Wait for the first dispatch.
-    {
-      std::unique_lock<std::mutex> lk(x.mu);
-      x.cv.wait(lk, [&] { return x.proc_turn; });
-      x.proc_turn = false;
-    }
-    engine.ExecuteBody(p);
-    // Hand the baton back to the engine for good.
-    {
-      std::lock_guard<std::mutex> lk(engine_mu_);
-      engine_turn_ = true;
-    }
-    engine_cv_.notify_one();
-  }
-
-  std::mutex engine_mu_;
-  std::condition_variable engine_cv_;
-  bool engine_turn_ = true;
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Context
@@ -216,13 +70,10 @@ void Context::Trace(std::string_view tag, std::string_view detail) {
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine(std::uint64_t seed, Backend backend)
-    : seed_(seed), backend_(backend) {
-  if (backend_ == Backend::kThreads) {
-    exec_ = std::make_unique<ThreadBackend>();
-  } else {
-    exec_ = std::make_unique<FiberBackend>(obs_);
-  }
+Engine::Engine(std::uint64_t seed) : seed_(seed) {
+  // Made here, not in the init list: the switcher interns its counters
+  // into obs_, which is declared after fibers_.
+  fibers_ = std::make_unique<FiberSwitcher>(*this, obs_);
   tags_.dispatches = obs_.Intern("sim.dispatches");
   tags_.events = obs_.Intern("sim.events");
   tags_.wakes = obs_.Intern("sim.wakes");
@@ -232,9 +83,6 @@ Engine::Engine(std::uint64_t seed, Backend backend)
   tags_.kill = obs_.Intern("killed");
   tags_.block = obs_.Intern("block");
   tags_.dispatch_ns = obs_.Intern("sim.dispatch.host_ns");
-  // Which scheduler backend ran shows up in every metrics table.
-  obs_.Add(obs_.Intern(backend_ == Backend::kThreads ? "sim.backend.threads"
-                                                     : "sim.backend.fibers"));
 }
 
 void Engine::EnableTrace(bool on) {
@@ -497,7 +345,7 @@ void Engine::DispatchProc(Pid pid) {
     host_start = std::chrono::steady_clock::now();
   }
 
-  exec_->Resume(*this, p);
+  fibers_->Resume(p);
 
   running_ = kNoPid;
   if (traced) {
@@ -513,7 +361,7 @@ void Engine::DispatchProc(Pid pid) {
 }
 
 void Engine::ProcYieldToEngine(Proc& p) {
-  exec_->Suspend(p);
+  fibers_->Suspend(p);
   CheckKilled(p);
 }
 
@@ -620,7 +468,7 @@ void Engine::JoinAll() {
     if (p.state == ProcState::kBlocked || p.state == ProcState::kReady) {
       p.kill_requested = true;
     }
-    exec_->Unwind(*this, p);
+    fibers_->Unwind(p);
   }
 }
 

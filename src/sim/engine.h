@@ -7,22 +7,12 @@
 // a simulation is a deterministic function of its inputs — identical runs
 // replay bit-identically regardless of host scheduling.
 //
-// Execution backends: how control transfers between the engine loop and a
-// process body is a pluggable mechanism (`Backend`), chosen per engine:
-//
-//  * kFibers (default) — every process is a stackful ucontext coroutine;
-//    the engine loop swaps directly onto the next runnable process's
-//    stack and back (two user-space context switches per dispatch, no
-//    locks, pooled stacks). This is what lets sweeps drive 10^5 processes.
-//  * kThreads — the legacy one-OS-thread-per-process backend, kept as a
-//    fallback (and as a differential oracle): each dispatch is a
-//    mutex+condvar baton handoff costing two host scheduler round-trips.
-//
-// The two backends implement the *same* scheduling contract, so traces,
-// RunResults, deadlock reports, and kill/unwind behavior are byte-identical
-// across them — tests/sim_test.cc enforces this. Select with the
-// constructor argument, `PSTK_SIM_BACKEND=fibers|threads`, or the bench
-// flag `--sim-backend=`.
+// Execution: every process is a stackful coroutine (a fiber) on the
+// engine's own host thread. The engine loop switches directly onto the
+// next runnable process's stack and back (sim/fiber.h), so a dispatch
+// costs two user-space context switches and 10^5-process runs are
+// practical. Which process runs next is decided by the rules below alone,
+// never by the host.
 //
 // Virtual-time rules:
 //  * Context::Compute(dt) advances only the caller's clock (no yield needed:
@@ -49,7 +39,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -70,29 +59,8 @@ inline constexpr Pid kNoPid = static_cast<Pid>(-1);
 class Engine;
 class Context;
 
-/// How simulated processes execute (see the file comment).
-enum class Backend : std::uint8_t {
-  kFibers,   // stackful coroutines on the engine's own thread (default)
-  kThreads,  // one OS thread per process (legacy fallback)
-};
-
-/// "fibers" / "threads" — the spelling PSTK_SIM_BACKEND and --sim-backend
-/// accept.
-[[nodiscard]] std::string_view BackendName(Backend backend);
-
-/// Parse a backend spelling; nullopt for anything unrecognized.
-[[nodiscard]] std::optional<Backend> ParseBackendName(std::string_view name);
-
-/// "fibers, threads" — for error messages listing the valid spellings.
-[[nodiscard]] std::string_view ValidBackendNames();
-
-/// Backend for engines constructed without an explicit choice: the
-/// SetDefaultBackend() override if set, else $PSTK_SIM_BACKEND, else
-/// kFibers.
-[[nodiscard]] Backend DefaultBackend();
-
-/// Process-wide override of DefaultBackend (bench --sim-backend=...).
-void SetDefaultBackend(Backend backend);
+class FiberSwitcher;  // sim/fiber.h
+struct Fiber;         // sim/fiber.h
 
 /// Body of a simulated process.
 using ProcessBody = std::function<void(Context&)>;
@@ -174,23 +142,16 @@ enum class ProcState : std::uint8_t {
   kKilled,    // unwound via ProcessKilled
 };
 
-/// Internal: backend-specific per-process execution state (an OS thread
-/// handle or a fiber context + stack). Concrete type lives with the
-/// backend; the engine only owns and destroys it.
-struct ProcExec {
-  virtual ~ProcExec() = default;
-};
-
 /// Internal: bookkeeping for one simulated process. At namespace scope
-/// only so the exec backends (engine.cc, fiber.cc) can reach it — not
-/// part of the public API.
+/// only so the fiber switcher (fiber.cc) can reach it — not part of the
+/// public API.
 struct Proc {
   std::string name;
   int node = 0;
   ProcessBody body;
   std::unique_ptr<Context> context;
   Rng rng;
-  std::unique_ptr<ProcExec> exec;
+  std::unique_ptr<Fiber> fiber;  // context + stack, made at first dispatch
 
   ProcState state = ProcState::kReady;
   SimTime clock = 0;             // local virtual time
@@ -209,40 +170,16 @@ struct Proc {
   }
 };
 
-/// Internal: the mechanism that transfers control between the engine loop
-/// and process bodies. Exactly one process (or the engine) runs at any
-/// instant on either implementation; the backends differ only in *how*
-/// the baton moves, never in what order processes run.
-class ExecBackend {
- public:
-  virtual ~ExecBackend() = default;
-
-  /// Engine side: transfer control into `p` (starting its body on the
-  /// first call); returns when the process parks, finishes, or unwinds.
-  virtual void Resume(Engine& engine, Proc& p) = 0;
-
-  /// Process side (runs on p's stack): park and hand control back to the
-  /// engine loop; returns when Resume picks this process again.
-  virtual void Suspend(Proc& p) = 0;
-
-  /// Teardown: force a parked process (kill_requested already set by the
-  /// caller) to unwind, and reclaim its execution resources. Must be
-  /// idempotent and must handle processes that never started.
-  virtual void Unwind(Engine& engine, Proc& p) = 0;
-};
-
 /// The simulation engine. Not thread-safe in the conventional sense: its
 /// methods must only be called from the engine's own control flow — i.e.
 /// before Run(), from inside process bodies, or from scheduled events —
 /// which is single-threaded (one process or the engine runs at a time).
 class Engine {
  public:
-  explicit Engine(std::uint64_t seed = 1, Backend backend = DefaultBackend());
+  explicit Engine(std::uint64_t seed = 1);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  [[nodiscard]] Backend backend() const { return backend_; }
 
   /// Create a process; it becomes runnable at `start` (default: spawner's
   /// clock, or 0 when spawned before Run()).
@@ -298,13 +235,9 @@ class Engine {
   [[nodiscard]] verify::Hub& verify() { return verify_; }
   [[nodiscard]] const verify::Hub& verify() const { return verify_; }
 
-  /// Internal (exec backends only): run p's body under the kill/exception
-  /// protocol. Executes on p's own stack; updates p.state and the
-  /// completed/killed tallies.
-  void ExecuteBody(Proc& p);
-
  private:
   friend class Context;
+  friend class FiberSwitcher;
 
   /// Ready-heap entry: (wake time, pid) with a generation stamp for lazy
   /// deletion — an entry is live only while its stamp matches the
@@ -334,6 +267,9 @@ class Engine {
   SimTime ProcBlockUntil(Pid pid, SimTime t, std::string_view reason);
   void ProcYieldToEngine(Proc& p);  // park, hand control back, re-check kill
   void CheckKilled(Proc& p);
+  /// Run p's body under the kill/exception protocol. Executes on p's own
+  /// stack; updates p.state and the completed/killed tallies.
+  void ExecuteBody(Proc& p);
 
   // -- engine loop -------------------------------------------------------
   void DispatchProc(Pid pid);
@@ -349,10 +285,9 @@ class Engine {
   bool Step();
 
   std::uint64_t seed_;
-  Backend backend_;
   DaryHeap<ReadyEntry> ready_;
   DaryHeap<EventEntry> events_;
-  std::unique_ptr<ExecBackend> exec_;
+  std::unique_ptr<FiberSwitcher> fibers_;
   std::vector<std::unique_ptr<Proc>> procs_;
   std::uint64_t event_seq_ = 0;  // FIFO tie-break among equal-time events
   Pid running_ = kNoPid;

@@ -1,7 +1,9 @@
 #include "sim/fiber.h"
 
+#include <charconv>
 #include <cstdlib>
-#include <string_view>
+#include <cstring>
+#include <system_error>
 
 #include "common/check.h"
 
@@ -52,17 +54,42 @@ namespace {
 // only a few thousand host allocations (VMAs), small enough that a tiny
 // simulation does not reserve silly amounts of address space.
 constexpr std::size_t kTargetSlabBytes = std::size_t{16} << 20;
-constexpr std::size_t kMinStackBytes = std::size_t{64} << 10;
+constexpr std::size_t kMinStackKb = 64;
+constexpr std::size_t kMaxStackKb = static_cast<std::size_t>(-1) >> 10;
+
+// Written at the low end of every slice when it is carved. Stacks grow
+// down, so a body that runs past the end of its slice overwrites these
+// bytes on its way into the slice below.
+constexpr char kCanary[8] = {'p', 's', 't', 'k', 'c', 'n', 'r', 'y'};
 
 }  // namespace
+
+std::size_t FiberStackBytes() {
+  const char* env = std::getenv("PSTK_SIM_STACK_KB");
+  if (env == nullptr || *env == '\0') {
+#if defined(PSTK_FIBER_ASAN)
+    return std::size_t{512} << 10;  // redzones + fake frames need headroom
+#else
+    return std::size_t{256} << 10;
+#endif
+  }
+  const char* end = env + std::strlen(env);
+  std::size_t kb = 0;
+  const auto [stop, err] = std::from_chars(env, end, kb);
+  PSTK_CHECK_MSG(err == std::errc() && stop == end && kb >= kMinStackKb &&
+                     kb <= kMaxStackKb,
+                 "PSTK_SIM_STACK_KB='"
+                     << env << "' is not a whole number of KiB from "
+                     << kMinStackKb << " to " << kMaxStackKb);
+  return kb << 10;
+}
 
 // ---------------------------------------------------------------------------
 // StackPool
 // ---------------------------------------------------------------------------
 
 StackPool::StackPool(std::size_t stack_bytes)
-    : stack_bytes_(stack_bytes < kMinStackBytes ? kMinStackBytes
-                                                : stack_bytes),
+    : stack_bytes_(stack_bytes),
       stacks_per_slab_(kTargetSlabBytes / stack_bytes_ > 0
                            ? kTargetSlabBytes / stack_bytes_
                            : 1),
@@ -72,7 +99,6 @@ FiberStack StackPool::Acquire() {
   if (!free_.empty()) {
     const FiberStack stack = free_.back();
     free_.pop_back();
-    ++reused_;
     return stack;
   }
   if (next_in_slab_ == stacks_per_slab_) {
@@ -83,6 +109,7 @@ FiberStack StackPool::Acquire() {
   }
   FiberStack stack{slabs_.back().get() + next_in_slab_ * stack_bytes_,
                    stack_bytes_};
+  std::memcpy(stack.base, kCanary, sizeof kCanary);
   ++next_in_slab_;
   ++allocated_;
   return stack;
@@ -92,43 +119,29 @@ void StackPool::Release(FiberStack stack) {
   if (stack.base != nullptr) free_.push_back(stack);
 }
 
-// ---------------------------------------------------------------------------
-// FiberBackend
-// ---------------------------------------------------------------------------
-
-struct FiberBackend::FiberExec final : ProcExec {
-  FiberBackend* backend = nullptr;
-  Engine* engine = nullptr;
-  Proc* proc = nullptr;
-  ucontext_t ctx{};
-  FiberStack stack;
-  void* fake_stack = nullptr;  // ASan fake-stack handle while parked
-  void* tsan_fiber = nullptr;  // TSan fiber entity (owned until death)
-  bool started = false;
-};
-
-std::size_t FiberBackend::DefaultStackBytes() {
-  static const std::size_t bytes = [] {
-    std::size_t kb = 256;
-#if defined(PSTK_FIBER_ASAN)
-    kb *= 2;  // redzones + fake frames need headroom
-#endif
-    if (const char* env = std::getenv("PSTK_SIM_STACK_KB")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) kb = static_cast<std::size_t>(parsed);
-    }
-    return kb << 10;
-  }();
-  return bytes;
+// Uninstrumented, with a byte loop rather than the intercepted memcmp: the
+// canary may lie inside a frame ASan has poisoned as a redzone (the frame
+// of the fiber that overran it).
+__attribute__((no_sanitize_address)) bool StackPool::CanaryIntact(
+    const FiberStack& stack) {
+  for (std::size_t i = 0; i < sizeof kCanary; ++i) {
+    if (stack.base[i] != kCanary[i]) return false;
+  }
+  return true;
 }
 
-FiberBackend::FiberBackend(obs::Registry& obs)
-    : obs_(obs),
+// ---------------------------------------------------------------------------
+// FiberSwitcher
+// ---------------------------------------------------------------------------
+
+FiberSwitcher::FiberSwitcher(Engine& engine, obs::Registry& obs)
+    : engine_(engine),
+      obs_(obs),
       stacks_allocated_tag_(obs.Intern("sim.fiber.stacks_allocated")),
       stacks_reused_tag_(obs.Intern("sim.fiber.stacks_reused")),
-      pool_(DefaultStackBytes()) {}
+      pool_(FiberStackBytes()) {}
 
-void FiberBackend::EnterFiberAnnotations(void* fake_stack) {
+void FiberSwitcher::EnterFiberAnnotations(void* fake_stack) {
 #if defined(PSTK_FIBER_ASAN)
   // Arriving on a fiber stack, always from the engine: remember the
   // engine-thread stack bounds so switches back out can be annotated.
@@ -142,23 +155,23 @@ void FiberBackend::EnterFiberAnnotations(void* fake_stack) {
 #endif
 }
 
-void FiberBackend::ReturnToEngineAnnotations() {
+void FiberSwitcher::ReturnToEngineAnnotations() {
 #if defined(PSTK_FIBER_ASAN)
   __sanitizer_finish_switch_fiber(engine_fake_stack_, nullptr, nullptr);
 #endif
 }
 
-thread_local FiberBackend::FiberExec* FiberBackend::pending_start_ = nullptr;
+thread_local Fiber* FiberSwitcher::pending_start_ = nullptr;
 
-void FiberBackend::Trampoline() {
-  FiberExec* x = pending_start_;
+void FiberSwitcher::Trampoline() {
+  Fiber* f = pending_start_;
   pending_start_ = nullptr;
-  x->backend->FiberMain(*x);
+  f->switcher->FiberMain(*f);
 }
 
-void FiberBackend::FiberMain(FiberExec& x) {
+void FiberSwitcher::FiberMain(Fiber& f) {
   EnterFiberAnnotations(nullptr);  // first entry: nothing saved yet
-  x.engine->ExecuteBody(*x.proc);
+  engine_.ExecuteBody(*f.proc);
   // Dying switch: nullptr fake-stack save tells ASan to free this fiber's
   // fake frames for good.
 #if defined(PSTK_FIBER_ASAN)
@@ -168,80 +181,83 @@ void FiberBackend::FiberMain(FiberExec& x) {
 #if defined(PSTK_FIBER_TSAN)
   __tsan_switch_to_fiber(tsan_engine_fiber_, 0);
 #endif
-  swapcontext(&x.ctx, &engine_ctx_);
+  swapcontext(&f.ctx, &engine_ctx_);
   PSTK_CHECK_MSG(false, "resumed a finished fiber");
 }
 
-void FiberBackend::Resume(Engine& engine, Proc& p) {
-  if (p.exec == nullptr) p.exec = std::make_unique<FiberExec>();
-  auto& x = static_cast<FiberExec&>(*p.exec);
-  if (!x.started) {
-    x.started = true;
-    x.backend = this;
-    x.engine = &engine;
-    x.proc = &p;
+void FiberSwitcher::Resume(Proc& p) {
+  if (p.fiber == nullptr) p.fiber = std::make_unique<Fiber>();
+  Fiber& f = *p.fiber;
+  if (!f.started) {
+    f.started = true;
+    f.switcher = this;
+    f.proc = &p;
     const std::uint64_t allocated_before = pool_.allocated();
-    x.stack = pool_.Acquire();
+    f.stack = pool_.Acquire();
     obs_.Add(pool_.allocated() > allocated_before ? stacks_allocated_tag_
                                                   : stacks_reused_tag_);
-    PSTK_CHECK_MSG(getcontext(&x.ctx) == 0, "getcontext failed");
-    x.ctx.uc_stack.ss_sp = x.stack.base;
-    x.ctx.uc_stack.ss_size = x.stack.size;
-    x.ctx.uc_link = nullptr;  // fibers exit via the explicit dying switch
-    makecontext(&x.ctx, &Trampoline, 0);
-    pending_start_ = &x;
+    PSTK_CHECK_MSG(getcontext(&f.ctx) == 0, "getcontext failed");
+    f.ctx.uc_stack.ss_sp = f.stack.base;
+    f.ctx.uc_stack.ss_size = f.stack.size;
+    f.ctx.uc_link = nullptr;  // fibers exit via the explicit dying switch
+    makecontext(&f.ctx, &Trampoline, 0);
+    pending_start_ = &f;
 #if defined(PSTK_FIBER_TSAN)
-    x.tsan_fiber = __tsan_create_fiber(0);
+    f.tsan_fiber = __tsan_create_fiber(0);
 #endif
   }
 #if defined(PSTK_FIBER_ASAN)
-  __sanitizer_start_switch_fiber(&engine_fake_stack_, x.stack.base,
-                                 x.stack.size);
+  __sanitizer_start_switch_fiber(&engine_fake_stack_, f.stack.base,
+                                 f.stack.size);
 #endif
 #if defined(PSTK_FIBER_TSAN)
   // The engine side of the switch may be a different host thread than the
-  // one that ran this backend last (an engine may be run and torn down on
+  // one that ran this switcher last (an engine may be run and torn down on
   // different host threads), so re-capture the engine fiber every Resume.
   tsan_engine_fiber_ = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(x.tsan_fiber, 0);
+  __tsan_switch_to_fiber(f.tsan_fiber, 0);
 #endif
-  swapcontext(&engine_ctx_, &x.ctx);
+  swapcontext(&engine_ctx_, &f.ctx);
   ReturnToEngineAnnotations();
+  PSTK_CHECK_MSG(StackPool::CanaryIntact(f.stack),
+                 "process '" << p.name << "' (pid " << p.context->pid()
+                             << ") overran its " << (f.stack.size >> 10)
+                             << " KiB fiber stack into the stack below it; "
+                                "raise PSTK_SIM_STACK_KB");
   if (p.state == ProcState::kDone || p.state == ProcState::kKilled) {
-    pool_.Release(x.stack);
-    x.stack = FiberStack{};
+    pool_.Release(f.stack);
+    f.stack = FiberStack{};
 #if defined(PSTK_FIBER_TSAN)
-    if (x.tsan_fiber != nullptr) {
-      __tsan_destroy_fiber(x.tsan_fiber);
-      x.tsan_fiber = nullptr;
+    if (f.tsan_fiber != nullptr) {
+      __tsan_destroy_fiber(f.tsan_fiber);
+      f.tsan_fiber = nullptr;
     }
 #endif
   }
 }
 
-void FiberBackend::Suspend(Proc& p) {
-  auto& x = static_cast<FiberExec&>(*p.exec);
+void FiberSwitcher::Suspend(Proc& p) {
+  Fiber& f = *p.fiber;
 #if defined(PSTK_FIBER_ASAN)
-  __sanitizer_start_switch_fiber(&x.fake_stack, engine_stack_bottom_,
+  __sanitizer_start_switch_fiber(&f.fake_stack, engine_stack_bottom_,
                                  engine_stack_size_);
 #endif
 #if defined(PSTK_FIBER_TSAN)
-  __tsan_switch_to_fiber(x.backend->tsan_engine_fiber_, 0);
+  __tsan_switch_to_fiber(tsan_engine_fiber_, 0);
 #endif
-  swapcontext(&x.ctx, &engine_ctx_);
-  EnterFiberAnnotations(x.fake_stack);
+  swapcontext(&f.ctx, &engine_ctx_);
+  EnterFiberAnnotations(f.fake_stack);
 }
 
-void FiberBackend::Unwind(Engine& engine, Proc& p) {
-  auto* x = static_cast<FiberExec*>(p.exec.get());
-  if (x == nullptr || !x->started) {
+void FiberSwitcher::Unwind(Proc& p) {
+  if (p.fiber == nullptr || !p.fiber->started) {
     if (p.state != ProcState::kDone) p.state = ProcState::kKilled;
     return;
   }
   if (p.state == ProcState::kBlocked || p.state == ProcState::kReady) {
     // kill_requested is set: the fiber throws ProcessKilled at its parked
     // suspension point, unwinds, and dies on this one resume.
-    Resume(engine, p);
+    Resume(p);
     PSTK_CHECK_MSG(
         p.state == ProcState::kDone || p.state == ProcState::kKilled,
         "process " << p.name << " blocked again while unwinding");

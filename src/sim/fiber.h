@@ -1,21 +1,27 @@
-// Stackful-coroutine execution backend for sim::Engine (Backend::kFibers).
+// Fiber execution for sim::Engine: every simulated process is a stackful
+// ucontext coroutine on the engine's own host thread.
 //
-// One host thread runs everything: the engine loop lives on the program
-// stack and swapcontext()s directly onto the next runnable process's
-// fiber stack and back. A dispatch is therefore two user-space context
-// switches — no mutex, no condvar, no host scheduler round-trip — which
-// is what makes 10^5-process sweeps practical (bench/micro_engine.cc
-// records the dispatch-throughput gap vs the thread backend).
+// Switch protocol: the engine loop lives on the program stack and
+// swapcontext()s directly onto the next runnable process's fiber stack;
+// the process swaps back when it parks, finishes, or unwinds. A dispatch
+// is therefore two user-space context switches — no mutex, no condvar, no
+// host scheduler round-trip — which is what makes 10^5-process sweeps
+// practical (bench/micro_engine.cc records the dispatch throughput).
 //
 // Stack pooling: fiber stacks are fixed-size slices carved out of large
 // heap slabs (one allocation per ~16 MiB of stacks, so even 10^5 live
-// fibers stay far under the kernel's VMA limit, and untouched pages cost
-// no RSS). A finished or unwound process returns its slice to the pool
-// for the next Spawn. Size with PSTK_SIM_STACK_KB (default 256 KiB,
-// doubled under ASan for redzone headroom). There are no guard pages —
-// a body that overruns its stack corrupts a neighboring slice — so the
-// default is deliberately generous; deep-recursion workloads should
-// raise the env var or fall back to Backend::kThreads.
+// fibers need only a few thousand mappings, and untouched pages cost no
+// RSS). A finished or unwound process returns its slice to the pool for
+// the next Spawn. Size with PSTK_SIM_STACK_KB (see FiberStackBytes).
+//
+// Overflow canary: stacks grow down, so a body that overruns its slice
+// writes into the top of the slice below — another process's live
+// frames. A canary word at the low end of every slice, written when the
+// slice is carved, is checked after every switch back to the engine; a
+// damaged canary aborts the run naming the process and PSTK_SIM_STACK_KB
+// before any other fiber can run on the damaged slice. (Guard pages would
+// cost one mprotect'ed mapping per stack, and 10^5 live fibers exceed the
+// kernel's default vm.max_map_count of 65530.)
 //
 // Sanitizer support: under ASan every switch is bracketed with
 // __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber so the
@@ -39,6 +45,13 @@
 
 namespace pstk::sim {
 
+/// Fiber stack size in bytes: PSTK_SIM_STACK_KB KiB when the variable is
+/// set and non-empty, else 256 KiB (512 KiB under ASan, for redzones and
+/// fake frames). Aborts naming the variable and its value unless it is a
+/// whole decimal number of KiB, at least 64, whose byte count fits a
+/// size_t. Read afresh by every Engine.
+[[nodiscard]] std::size_t FiberStackBytes();
+
 /// One fixed-size fiber stack, carved out of a StackPool slab.
 struct FiberStack {
   char* base = nullptr;
@@ -48,7 +61,7 @@ struct FiberStack {
 /// Slab-backed pool of equally sized fiber stacks. Slabs are plain heap
 /// allocations (never memset, so untouched stack pages stay uncommitted);
 /// freed stacks are LIFO-reused, which keeps hot dispatch loops on warm
-/// pages.
+/// pages. Every slice carries the overflow canary at its low end.
 class StackPool {
  public:
   explicit StackPool(std::size_t stack_bytes);
@@ -56,11 +69,12 @@ class StackPool {
   FiberStack Acquire();
   void Release(FiberStack stack);
 
-  [[nodiscard]] std::size_t stack_bytes() const { return stack_bytes_; }
+  /// False once something has written over the canary at the low end of
+  /// `stack` — a body that ran past the end of its stack.
+  [[nodiscard]] static bool CanaryIntact(const FiberStack& stack);
+
   /// Stacks carved fresh out of a slab so far.
   [[nodiscard]] std::uint64_t allocated() const { return allocated_; }
-  /// Acquires served from a previously released stack.
-  [[nodiscard]] std::uint64_t reused() const { return reused_; }
 
  private:
   std::size_t stack_bytes_;
@@ -69,29 +83,44 @@ class StackPool {
   std::vector<std::unique_ptr<char[]>> slabs_;
   std::vector<FiberStack> free_;
   std::uint64_t allocated_ = 0;
-  std::uint64_t reused_ = 0;
 };
 
-/// ExecBackend implementation over ucontext fibers. See the file comment.
-class FiberBackend final : public ExecBackend {
+/// One process's execution state (Proc::fiber).
+struct Fiber {
+  FiberSwitcher* switcher = nullptr;
+  Proc* proc = nullptr;
+  ucontext_t ctx{};
+  FiberStack stack;
+  void* fake_stack = nullptr;  // ASan fake-stack handle while parked
+  void* tsan_fiber = nullptr;  // TSan fiber entity (owned until death)
+  bool started = false;
+};
+
+/// Moves control between the engine loop and process bodies. Exactly one
+/// of them runs at any instant. See the file comment.
+class FiberSwitcher {
  public:
   /// `obs` receives the stack-pool counters (sim.fiber.stacks_allocated /
   /// sim.fiber.stacks_reused).
-  explicit FiberBackend(obs::Registry& obs);
+  FiberSwitcher(Engine& engine, obs::Registry& obs);
 
-  void Resume(Engine& engine, Proc& p) override;
-  void Suspend(Proc& p) override;
-  void Unwind(Engine& engine, Proc& p) override;
+  /// Engine side: switch into `p` (starting its body on the first call);
+  /// returns when the process parks, finishes, or unwinds. Aborts if the
+  /// process overran its stack.
+  void Resume(Proc& p);
 
-  /// PSTK_SIM_STACK_KB (clamped to >= 64 KiB), default 256 KiB — doubled
-  /// under ASan.
-  [[nodiscard]] static std::size_t DefaultStackBytes();
+  /// Process side (runs on p's stack): park and switch back to the engine
+  /// loop; returns when Resume picks this process again.
+  void Suspend(Proc& p);
+
+  /// Teardown: force a parked process (kill_requested already set by the
+  /// caller) to unwind, and return its stack. Idempotent; handles
+  /// processes that never started.
+  void Unwind(Proc& p);
 
  private:
-  struct FiberExec;
-
   static void Trampoline();
-  void FiberMain(FiberExec& x);
+  void FiberMain(Fiber& f);
 
   // makecontext() entry points take no arguments, so the fiber being
   // started is handed to Trampoline through this slot (written immediately
@@ -99,12 +128,13 @@ class FiberBackend final : public ExecBackend {
   // the engine's control flow is single-threaded, so no other switch can
   // intervene). thread_local keeps engines on different host threads
   // independent.
-  static thread_local FiberExec* pending_start_;
+  static thread_local Fiber* pending_start_;
 
   // ASan fake-stack bookkeeping (no-ops outside ASan builds).
   void EnterFiberAnnotations(void* fake_stack);
   void ReturnToEngineAnnotations();
 
+  Engine& engine_;
   obs::Registry& obs_;
   obs::TagId stacks_allocated_tag_;
   obs::TagId stacks_reused_tag_;

@@ -832,114 +832,6 @@ void f(mpi::Comm& comm, int iters) {
       << RenderLintReport(findings);
 }
 
-TEST(LintRuleTest, BlockingReachableFromSubmitPathFlagged) {
-  // Submit() reaches a blocking wait through a helper — the scheduler's
-  // submit path runs inside an engine event handler, so this must flag.
-  const auto findings = Findings(R"cc(
-void WaitForSlot(Scheduler& sched) {
-  sched.cv.wait(lock);
-}
-void Submit(Scheduler& sched, JobSpec spec) {
-  WaitForSlot(sched);
-}
-)cc");
-  ASSERT_EQ(CountRule(findings, "sched-blocking-in-submit-path"), 1)
-      << RenderLintReport(findings);
-  EXPECT_EQ(findings[0].severity, Severity::kError);
-  EXPECT_EQ(findings[0].line, 3);  // the blocking site inside the helper
-  ASSERT_EQ(findings[0].related.size(), 1u);
-  EXPECT_EQ(findings[0].related[0].line, 5);  // the submit-path root
-}
-
-TEST(LintRuleTest, OnJobHandlerBlockingFlagged) {
-  // OnJob* event handlers are submit-path roots too (qualified names
-  // included), even when the block is direct rather than via a helper.
-  const auto findings = Findings(R"cc(
-void Scheduler::OnJobDone(JobId id) {
-  done_future.wait_for(timeout);
-}
-)cc");
-  ASSERT_EQ(CountRule(findings, "sched-blocking-in-submit-path"), 1)
-      << RenderLintReport(findings);
-}
-
-TEST(LintRuleTest, NonBlockingSubmitAndBlockingElsewhereAreClean) {
-  // Submit defers onto the event heap (no blocking); a Wait in an
-  // unrelated worker body must not be attributed to the submit path,
-  // and a SubmitButton::Render() name must not match the root filter.
-  const auto findings = Findings(R"cc(
-void Submit(Scheduler& sched, JobSpec spec) {
-  sched.queue.Push(spec);
-  sched.engine.SpawnAt(sched.now, "pass", RunPass);
-}
-void WorkerBody(mpi::Comm& comm) {
-  comm.Recv(buf, n, peer, tag);
-}
-void SubmitterLoop(Scheduler& sched) {
-  sched.cv.wait(lock);
-}
-)cc");
-  EXPECT_EQ(CountRule(findings, "sched-blocking-in-submit-path"), 0)
-      << RenderLintReport(findings);
-}
-
-TEST(LintRuleTest, DataplaneCopyInHotPathFlagged) {
-  // RunMapTask reaches a helper that takes its payload as a by-value
-  // std::string: every call copies the whole payload on the hot path.
-  const auto findings = Findings(R"cc(
-void StoreBucket(int r, std::string payload) {
-  store[r] = payload;
-}
-void RunMapTask(TaskRt& rt, int p) {
-  StoreBucket(p, bucket);
-}
-)cc");
-  ASSERT_EQ(CountRule(findings, "dataplane-copy-in-hot-path"), 1)
-      << RenderLintReport(findings);
-  EXPECT_EQ(findings[0].severity, Severity::kWarning);
-  EXPECT_EQ(findings[0].line, 2);  // the copying helper's definition
-  ASSERT_EQ(findings[0].related.size(), 1u);
-  EXPECT_EQ(findings[0].related[0].line, 5);  // the data-plane root
-}
-
-TEST(LintRuleTest, DataplaneSerdeBufferParamFlagged) {
-  // serde::Buffer by value on the shuffle commit surface itself.
-  const auto findings = Findings(R"cc(
-void TaskRt::CommitShuffleOutput(int shuffle, serde::Buffer bucket) {
-  store.Put(shuffle, bucket);
-}
-)cc");
-  ASSERT_EQ(CountRule(findings, "dataplane-copy-in-hot-path"), 1)
-      << RenderLintReport(findings);
-}
-
-TEST(LintRuleTest, DataplaneAliasingAndColdPathsAreClean) {
-  // const& / string_view / refcounted buf::Bytes params are aliases, a
-  // message string is a diagnostic sink, and a by-value payload on a
-  // function no task/shuffle root reaches is someone else's business.
-  const auto findings = Findings(R"cc(
-void StoreBucket(int r, const std::string& payload) {
-  store[r] = payload;
-}
-void ShipBlock(buf::Bytes block, std::string_view range) {
-  net.Send(block, range);
-}
-void Fail(std::string msg) {
-  log(msg);
-}
-void RunMapTask(TaskRt& rt, int p) {
-  StoreBucket(p, bucket);
-  ShipBlock(block, range);
-  Fail(oops);
-}
-void ControlPlaneRpc(std::string body) {
-  rpc.Call(body);
-}
-)cc");
-  EXPECT_EQ(CountRule(findings, "dataplane-copy-in-hot-path"), 0)
-      << RenderLintReport(findings);
-}
-
 // ===========================================================================
 // Output formats + baseline
 // ===========================================================================
@@ -993,11 +885,11 @@ TEST(LintOutputTest, SarifGolden) {
               std::string::npos)
         << r.slug;
   }
-  // The result object, golden: mpi-tag-mismatch is rule index 8 (the
+  // The result object, golden: mpi-tag-mismatch is rule index 7 (the
   // registry is sorted by slug).
   EXPECT_NE(
       sarif.find(
-          "{\"ruleId\": \"mpi-tag-mismatch\", \"ruleIndex\": 8, "
+          "{\"ruleId\": \"mpi-tag-mismatch\", \"ruleIndex\": 7, "
           "\"level\": \"error\", \"message\": {\"text\": \"tags 1 vs 2\"}, "
           "\"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
           "{\"uri\": \"examples/a.cc\"}, \"region\": {\"startLine\": 12}}}]}"),
@@ -1754,39 +1646,6 @@ void f(mpi::Comm& comm) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].hash, findings[0].line_hash);
   EXPECT_EQ(ApplyBaseline(findings, entries, nullptr).size(), 0u);
-}
-
-TEST(LintProgramTest, FindingsIdenticalAcrossJobCounts) {
-  // A multi-file program with cross-file wrapper findings: the parallel
-  // tokenize/parse phase must not perturb output order or content.
-  std::vector<ProgramSource> sources;
-  sources.push_back({"a.cc", R"cc(
-void SyncAll(mpi::Comm& comm) { comm.Barrier(); }
-)cc"});
-  sources.push_back({"b.cc", R"cc(
-void caller(mpi::Comm& comm) {
-  if (comm.rank() == 0) {
-    SyncAll(comm);
-  }
-}
-)cc"});
-  sources.push_back({"c.cc", R"cc(
-void g(mpi::Comm& comm) {
-  const int partner = comm.rank() ^ 1;
-  comm.Send(out, 131072, partner, 0);
-  comm.Recv(in, 131072, partner, 0);
-}
-)cc"});
-  sources.push_back({"d.cc", "void empty() {}\n"});
-  const auto one = LintProgram(sources, 1);
-  const auto four = LintProgram(sources, 4);
-  EXPECT_FALSE(one.empty());
-  ASSERT_EQ(one.size(), four.size());
-  EXPECT_EQ(RenderJson(one), RenderJson(four));
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i].line_hash, four[i].line_hash);
-    EXPECT_EQ(one[i].edits.size(), four[i].edits.size());
-  }
 }
 
 }  // namespace

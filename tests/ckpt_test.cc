@@ -172,43 +172,6 @@ TEST(RestartManagerTest, MpiJobSurvivesNodeFailureViaNfsSnapshots) {
   EXPECT_GT(outcome.value().time_to_solution, policy.restart_delay);
 }
 
-TEST(RestartManagerTest, RecoveryIsBackendInvariant) {
-  // The same faulty job on both execution backends: every recovery
-  // observable (attempts, restarts, commits, virtual times) and the final
-  // answer must match, because the scheduler backend is pure mechanism —
-  // the kill/unwind/replay sequence is scheduling-contract behavior.
-  auto run = [](sim::Backend backend, double* value) {
-    ckpt::CkptPolicy policy;
-    policy.interval = 0.1;
-    policy.target_disk = ckpt::Target::kNfs;
-    policy.restart_delay = 1.0;
-    auto plan = sim::FaultPlan::Parse("node:1@0.5");
-    EXPECT_TRUE(plan.ok());
-    ckpt::RestartManager manager(policy, plan.value());
-    ckpt::HpcJob job = TestJob();
-    job.backend = backend;
-    return manager.RunMpi(job, MpiBody(value));
-  };
-  double fiber_value = 0.0;
-  double thread_value = 0.0;
-  auto fibers = run(sim::Backend::kFibers, &fiber_value);
-  auto threads = run(sim::Backend::kThreads, &thread_value);
-  ASSERT_TRUE(fibers.ok()) << fibers.status().message();
-  ASSERT_TRUE(threads.ok()) << threads.status().message();
-  EXPECT_EQ(fibers.value().completed, threads.value().completed);
-  EXPECT_EQ(fibers.value().attempts, threads.value().attempts);
-  EXPECT_EQ(fibers.value().restarts, threads.value().restarts);
-  EXPECT_EQ(fibers.value().checkpoints_committed,
-            threads.value().checkpoints_committed);
-  EXPECT_EQ(fibers.value().snapshot_bytes, threads.value().snapshot_bytes);
-  EXPECT_DOUBLE_EQ(fibers.value().time_to_solution,
-                   threads.value().time_to_solution);
-  EXPECT_DOUBLE_EQ(fibers.value().rollback_work,
-                   threads.value().rollback_work);
-  EXPECT_DOUBLE_EQ(fiber_value, thread_value);
-  EXPECT_DOUBLE_EQ(fiber_value, kExpectedValue);
-}
-
 TEST(RestartManagerTest, AbortRerunRecoversWithoutSnapshots) {
   ckpt::CkptPolicy policy;
   policy.interval = 0;  // checkpointing disabled: abort + full rerun

@@ -17,8 +17,8 @@
 namespace pstk::net {
 namespace {
 
-serde::Buffer Payload(const std::string& s) {
-  return serde::Buffer(s.begin(), s.end());
+buf::Bytes Payload(const std::string& s) {
+  return buf::Bytes::FromVector(std::vector<std::uint8_t>(s.begin(), s.end()));
 }
 
 std::string AsString(const buf::Bytes& b) { return b.ToString(); }
@@ -211,8 +211,9 @@ TEST(NetworkTest, RendezvousSendWaitsForReceiver) {
   auto& b = f.network.CreateEndpoint(1, 1);
   SimTime send_done = 0;
   f.engine.Spawn("sender", [&](sim::Context& ctx) {
-    serde::Buffer big(2 * kMiB, 0xAB);  // above the 64 KiB eager threshold
-    a.Send(ctx, 1, 0, std::move(big));
+    // Above the 64 KiB eager threshold.
+    a.Send(ctx, 1, 0,
+           buf::Bytes::FromVector(std::vector<std::uint8_t>(2 * kMiB, 0xAB)));
     send_done = ctx.now();
   });
   f.engine.Spawn("receiver", [&](sim::Context& ctx) {

@@ -146,8 +146,10 @@ TEST(ObsIntegrationTest, EngineAndNetworkTraceIsDeterministic) {
         ctx.Compute(ctx.rng().Uniform(0.0, 0.1));
         if (i % 2 == 0) {
           const std::string text = "payload-" + std::to_string(i);
-          network.endpoint(i).Send(ctx, i + 1, /*tag=*/0,
-                                   serde::Buffer(text.begin(), text.end()));
+          network.endpoint(i).Send(
+              ctx, i + 1, /*tag=*/0,
+              buf::Bytes::FromVector(
+                  std::vector<std::uint8_t>(text.begin(), text.end())));
         } else {
           (void)network.endpoint(i).Recv(ctx);
         }

@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/engine.h"
+#include "sim/fiber.h"
 #include "sim/timeline.h"
 
 namespace pstk::sim {
@@ -418,23 +426,8 @@ TEST(EngineTest, ManyProcesses) {
   EXPECT_EQ(done.load(), n);
 }
 
-// --------------------------------------------------------------------------
-// Cross-backend equivalence: the fiber scheduler's acceptance oracle. Both
-// execution backends implement one scheduling contract, so every
-// observable — trace bytes, RunResult, deadlock diagnostics, kill/unwind
-// behavior — must be identical between them.
-// --------------------------------------------------------------------------
-
-class BackendTest : public ::testing::TestWithParam<Backend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    All, BackendTest, ::testing::Values(Backend::kFibers, Backend::kThreads),
-    [](const ::testing::TestParamInfo<Backend>& param) {
-      return std::string(BackendName(param.param));
-    });
-
-TEST_P(BackendTest, KillRunsRaiiCleanup) {
-  Engine engine(1, GetParam());
+TEST(EngineTest, KillRunsRaiiCleanup) {
+  Engine engine;
   bool cleanup_ran = false;
   bool after_block = false;
   const Pid victim = engine.Spawn("victim", [&](Context& ctx) {
@@ -453,32 +446,8 @@ TEST_P(BackendTest, KillRunsRaiiCleanup) {
   EXPECT_EQ(result.killed, 1u);
 }
 
-TEST_P(BackendTest, ConditionDropsKilledWaiter) {
-  Engine engine(1, GetParam());
-  Condition cond;
-  bool victim_released = false;
-  bool survivor_released = false;
-  const Pid victim = engine.Spawn("victim", [&](Context& ctx) {
-    cond.Wait(ctx, "cond");
-    victim_released = true;
-  });
-  engine.Spawn("survivor", [&](Context& ctx) {
-    ctx.Compute(0.5);
-    cond.Wait(ctx, "cond");
-    survivor_released = true;
-  });
-  engine.Spawn("driver", [&](Context& ctx) {
-    ctx.engine().Kill(victim, 1.0);
-    ctx.SleepUntil(2.0);
-    EXPECT_TRUE(cond.NotifyOne(ctx.engine(), ctx.now()));
-  });
-  ASSERT_TRUE(engine.Run().status.ok());
-  EXPECT_FALSE(victim_released);
-  EXPECT_TRUE(survivor_released);
-}
-
-TEST_P(BackendTest, DeadlockUnwindsBlockedProcesses) {
-  Engine engine(1, GetParam());
+TEST(EngineTest, DeadlockUnwindsBlockedProcesses) {
+  Engine engine;
   bool cleanup_ran = false;
   engine.Spawn("stuck", [&](Context& ctx) {
     struct Cleanup {
@@ -494,10 +463,10 @@ TEST_P(BackendTest, DeadlockUnwindsBlockedProcesses) {
   EXPECT_TRUE(cleanup_ran);
 }
 
-TEST_P(BackendTest, ExceptionUnwindsBystanders) {
+TEST(EngineTest, ExceptionUnwindsBystanders) {
   // A throwing process aborts the run; processes still parked must be
-  // force-unwound (RAII runs) on either backend before Run rethrows.
-  Engine engine(1, GetParam());
+  // force-unwound (RAII runs) before Run rethrows.
+  Engine engine;
   bool bystander_cleanup = false;
   engine.Spawn("bystander", [&](Context& ctx) {
     struct Cleanup {
@@ -514,126 +483,532 @@ TEST_P(BackendTest, ExceptionUnwindsBystanders) {
   EXPECT_TRUE(bystander_cleanup);
 }
 
-namespace crossbackend {
+TEST(EngineTest, MixedWorkloadReplaysByteIdentically) {
+  // Every scheduler path at once — RNG-staggered computes, yields, sleeps,
+  // condition waits/notifies, a spawn from an event, a fault-injected
+  // kill and user trace instants — replays to the same trace bytes.
+  struct Observed {
+    std::string trace_json;
+    std::uint64_t dispatches = 0;
+    RunResult result;
+  };
+  auto run = [] {
+    Engine engine(1234);
+    engine.EnableTrace(true);
+    Condition cond;
+    for (int i = 0; i < 12; ++i) {
+      engine.Spawn("p" + std::to_string(i), [&, i](Context& ctx) {
+        ctx.Compute(ctx.rng().Uniform(0.0, 1.0));
+        ctx.Trace("step", "a" + std::to_string(i));
+        if (i % 3 == 0) {
+          cond.Wait(ctx, "trio");
+        } else if (i % 3 == 1) {
+          ctx.SleepFor(0.5);
+          cond.NotifyOne(ctx.engine(), ctx.now());
+        } else {
+          ctx.Yield();
+          ctx.Compute(0.25);
+        }
+        ctx.Trace("step", "b" + std::to_string(i));
+      });
+    }
+    const Pid victim =
+        engine.Spawn("victim", [](Context& ctx) { ctx.Block("doomed"); });
+    engine.Kill(victim, 0.75);
+    engine.ScheduleEvent(0.25, [&engine] {
+      engine.Spawn("late", [](Context& ctx) { ctx.Compute(0.125); });
+    });
+    Observed out;
+    out.result = engine.Run();
+    out.trace_json = engine.obs().ToChromeTraceJson();
+    out.dispatches = engine.obs().CounterByName("sim.dispatches");
+    return out;
+  };
+  const Observed a = run();
+  const Observed b = run();
+  EXPECT_TRUE(a.result.status.ok()) << a.result.status.ToString();
+  EXPECT_EQ(a.result.killed, 1u);
+  EXPECT_EQ(a.trace_json, b.trace_json);  // byte-identical
+  EXPECT_EQ(a.dispatches, b.dispatches);
+  EXPECT_DOUBLE_EQ(a.result.end_time, b.result.end_time);
+  EXPECT_EQ(a.result.completed, b.result.completed);
+}
 
-// A workload exercising every scheduler path: RNG-staggered computes,
-// yields, sleeps, condition waits/notifies, events, a fault-injected kill,
-// and user trace instants.
-struct Observed {
-  std::string trace_json;
+// --------------------------------------------------------------------------
+// Step() against a reference model. Seeded random process scripts mix
+// Spawn/SpawnAt, compute, sleep, yield, block, BlockUntil, Wake (decrease-
+// key, ignored increases, stray wakes), events (nested, and spawning), Kill
+// and KillNow. A brute-force model replays each script over a plain list
+// of pending actions, scanning it for the earliest one, and every
+// dispatch and scripted event the engine runs must match it in order.
+// --------------------------------------------------------------------------
+
+namespace refmodel {
+
+struct Action {
+  enum Kind : std::uint8_t {
+    kCompute,     // Compute(dt)
+    kSleep,       // SleepFor(dt)
+    kYield,       // Yield()
+    kBlock,       // Block()
+    kBlockUntil,  // BlockUntil(now + dt)
+    kWake,        // Wake(target, now + dt); dt may be negative
+    kEvent,       // ScheduleEvent(now + dt) that runs `then`
+    kSpawn,       // Spawn(); from an event the child starts at the frontier
+    kSpawnAt,     // SpawnAt(now + dt)
+    kKill,        // Kill(target, now + dt): an engine event, not logged
+    kKillNow,     // KillNow(target), from events only
+  };
+  Kind kind = kCompute;
+  SimTime dt = 0;
+  std::uint64_t pick = 0;  // target pid = pick % process count
+  std::vector<Action> then;
+};
+
+constexpr Pid kInitialProcs = 6;  // only these spawn, which bounds a run
+
+// Multiples of 0.5: exact in binary, so process/process, event/event and
+// event/process ties at equal times are common.
+SimTime Halves(Rng& rng, std::uint64_t max_halves) {
+  return 0.5 * static_cast<double>(rng.Below(max_halves + 1));
+}
+
+std::vector<Action> EventScript(Rng& rng, bool can_spawn, bool can_nest) {
+  std::vector<Action> out(1 + rng.Below(2));
+  for (Action& a : out) {
+    a.pick = rng.Next();
+    const std::uint64_t roll = rng.Below(5);
+    if (roll == 0) {
+      a.kind = Action::kKillNow;
+    } else if (roll == 1 && can_nest) {
+      a.kind = Action::kEvent;
+      a.dt = Halves(rng, 2);
+      a.then = EventScript(rng, can_spawn, /*can_nest=*/false);
+    } else if (roll == 2 && can_spawn) {
+      a.kind = rng.Bernoulli(0.5) ? Action::kSpawn : Action::kSpawnAt;
+      a.dt = Halves(rng, 3);
+    } else {
+      a.kind = Action::kWake;
+      a.dt = Halves(rng, 4) - 1.0;
+    }
+  }
+  return out;
+}
+
+std::vector<Action> ProcessScript(std::uint64_t seed, Pid pid) {
+  Rng rng(seed * 1000003 + pid);
+  const bool can_spawn = pid < kInitialProcs;
+  std::vector<Action> out(4 + rng.Below(8));
+  for (Action& a : out) {
+    a.pick = rng.Next();
+    switch (rng.Below(16)) {
+      case 0: case 1: a.kind = Action::kCompute; a.dt = Halves(rng, 2); break;
+      case 2: case 3: a.kind = Action::kSleep; a.dt = Halves(rng, 3); break;
+      case 4: case 5: a.kind = Action::kYield; break;
+      case 6: a.kind = Action::kBlock; break;
+      case 7: a.kind = Action::kBlockUntil; a.dt = Halves(rng, 4); break;
+      case 8: case 9: case 10:
+        a.kind = Action::kWake;
+        a.dt = Halves(rng, 6) - 1.0;
+        break;
+      case 11: case 12:
+        a.kind = Action::kEvent;
+        a.dt = Halves(rng, 3);
+        a.then = EventScript(rng, can_spawn, /*can_nest=*/true);
+        break;
+      case 13: a.kind = Action::kKill; a.dt = Halves(rng, 4); break;
+      default:
+        a.kind = !can_spawn              ? Action::kYield
+                 : rng.Bernoulli(0.5) ? Action::kSpawn
+                                      : Action::kSpawnAt;
+        a.dt = Halves(rng, 3);
+        break;
+    }
+  }
+  return out;
+}
+
+/// Scripts by pid, made on first use from (seed, pid) alone, so the engine
+/// and the model see the same script for every process either creates.
+class Scripts {
+ public:
+  explicit Scripts(std::uint64_t seed) : seed_(seed) {}
+  const std::vector<Action>& For(Pid pid) {
+    while (scripts_.size() <= pid) {
+      const auto next = static_cast<Pid>(scripts_.size());
+      scripts_.push_back(ProcessScript(seed_, next));
+    }
+    return scripts_[pid];
+  }
+  /// Start time of initial process `pid` (0 means Spawn before Run).
+  static SimTime StartOf(Pid pid) { return 0.5 * (pid % 3); }
+
+ private:
+  std::uint64_t seed_;
+  std::deque<std::vector<Action>> scripts_;  // stable references
+};
+
+/// One action as both sides log it: a process dispatch ('P', pid) or a
+/// scripted event ('E', scheduling index), at virtual time `t`.
+struct Entry {
+  char kind;
+  std::uint32_t id;
+  SimTime t;
+  bool operator==(const Entry&) const = default;
+};
+
+std::string Render(const std::vector<Entry>& log, std::size_t at) {
+  std::ostringstream oss;
+  for (std::size_t i = at > 3 ? at - 3 : 0; i < std::min(log.size(), at + 4);
+       ++i) {
+    oss << (i == at ? " [" : " ") << log[i].kind << log[i].id << "@"
+        << log[i].t << (i == at ? "]" : "");
+  }
+  return oss.str();
+}
+
+struct Outcome {
+  std::vector<Entry> log;
   std::uint64_t dispatches = 0;
-  Status status;
+  bool ok = false;
   SimTime end_time = 0;
   std::size_t completed = 0;
   std::size_t killed = 0;
 };
 
-Observed RunMixedWorkload(Backend backend) {
-  Engine engine(1234, backend);
+/// How often the model met each situation a scheduling rule decides.
+struct Coverage {
+  int event_process_ties = 0;
+  int event_event_ties = 0;
+  int process_process_ties = 0;
+  int decrease_keys = 0;
+  int ignored_increases = 0;
+  int kill_reschedules = 0;  // ready victim pulled forward to the kill
+  int kill_clamps = 0;       // victim's clock behind the kill's time
+};
+
+Outcome RunEngine(Scripts& scripts, std::uint64_t seed) {
+  Engine engine(seed);
   engine.EnableTrace(true);
-  Condition cond;
-  for (int i = 0; i < 12; ++i) {
-    engine.Spawn("p" + std::to_string(i), [&, i](Context& ctx) {
-      ctx.Compute(ctx.rng().Uniform(0.0, 1.0));
-      ctx.Trace("step", "a" + std::to_string(i));
-      if (i % 3 == 0) {
-        cond.Wait(ctx, "trio");
-      } else if (i % 3 == 1) {
-        ctx.SleepFor(0.5);
-        cond.NotifyOne(ctx.engine(), ctx.now());
-      } else {
-        ctx.Yield();
-        ctx.Compute(0.25);
+  obs::Registry& obs = engine.obs();
+  const obs::TagId event_tag = obs.Intern("ref.event");
+  std::uint32_t next_event = 0;
+  auto target = [&engine](const Action& a) {
+    return static_cast<Pid>(a.pick % engine.process_count());
+  };
+  ProcessBody body;
+  std::function<void(SimTime, const std::vector<Action>*)> schedule =
+      [&](SimTime t, const std::vector<Action>* then) {
+        const std::uint32_t id = next_event++;
+        engine.ScheduleEvent(t, [&, t, then, id] {
+          obs.Instant(0, id, event_tag, t);
+          for (const Action& a : *then) {
+            switch (a.kind) {
+              case Action::kWake: engine.Wake(target(a), t + a.dt); break;
+              case Action::kKillNow: engine.KillNow(target(a)); break;
+              case Action::kEvent: schedule(t + a.dt, &a.then); break;
+              case Action::kSpawn: engine.Spawn("child", body); break;
+              case Action::kSpawnAt:
+                engine.SpawnAt(t + a.dt, "child", body);
+                break;
+              default: break;
+            }
+          }
+        });
+      };
+  body = [&](Context& ctx) {
+    for (const Action& a : scripts.For(ctx.pid())) {
+      switch (a.kind) {
+        case Action::kCompute: ctx.Compute(a.dt); break;
+        case Action::kSleep: ctx.SleepFor(a.dt); break;
+        case Action::kYield: ctx.Yield(); break;
+        case Action::kBlock: ctx.Block("scripted"); break;
+        case Action::kBlockUntil:
+          ctx.BlockUntil(ctx.now() + a.dt, "scripted");
+          break;
+        case Action::kWake: engine.Wake(target(a), ctx.now() + a.dt); break;
+        case Action::kEvent: schedule(ctx.now() + a.dt, &a.then); break;
+        case Action::kSpawn: engine.Spawn("child", body); break;
+        case Action::kSpawnAt:
+          engine.SpawnAt(ctx.now() + a.dt, "child", body);
+          break;
+        case Action::kKill: engine.Kill(target(a), ctx.now() + a.dt); break;
+        case Action::kKillNow: break;
       }
-      ctx.Trace("step", "b" + std::to_string(i));
-    });
+    }
+  };
+  for (Pid pid = 0; pid < kInitialProcs; ++pid) {
+    const SimTime start = Scripts::StartOf(pid);
+    if (start == 0) {
+      engine.Spawn("p", body);
+    } else {
+      engine.SpawnAt(start, "p", body);
+    }
   }
-  const Pid victim =
-      engine.Spawn("victim", [](Context& ctx) { ctx.Block("doomed"); });
-  engine.Kill(victim, 0.75);
-  engine.ScheduleEvent(0.25, [&engine] {
-    engine.Spawn("late", [](Context& ctx) { ctx.Compute(0.125); });
-  });
-  auto result = engine.Run();
-  Observed out;
-  out.trace_json = engine.obs().ToChromeTraceJson();
-  out.dispatches = engine.obs().CounterByName("sim.dispatches");
-  out.status = result.status;
+  const RunResult result = engine.Run();
+  Outcome out;
+  const obs::TagId run_tag = obs.Intern("run");
+  for (const obs::Event& e : obs.events()) {
+    if (e.tag == run_tag && e.phase == obs::Phase::kBegin) {
+      out.log.push_back(Entry{'P', e.track, e.time});
+    } else if (e.tag == event_tag) {
+      out.log.push_back(Entry{'E', e.track, e.time});
+    }
+  }
+  out.dispatches = obs.CounterByName("sim.dispatches");
+  out.ok = result.status.ok();
   out.end_time = result.end_time;
   out.completed = result.completed;
   out.killed = result.killed;
   return out;
 }
 
-}  // namespace crossbackend
+/// The reference: Step()'s ordering rules restated as a scan over every
+/// pending action, with none of the engine's heaps, stamps or fibers.
+class Model {
+ public:
+  Model(Scripts& scripts, Coverage& coverage)
+      : scripts_(scripts), coverage_(coverage) {}
 
-TEST(CrossBackendTest, MixedWorkloadIsByteIdentical) {
-  const auto fibers = crossbackend::RunMixedWorkload(Backend::kFibers);
-  const auto threads = crossbackend::RunMixedWorkload(Backend::kThreads);
-  EXPECT_TRUE(fibers.status.ok()) << fibers.status.ToString();
-  EXPECT_EQ(fibers.trace_json, threads.trace_json);  // byte-identical
-  EXPECT_EQ(fibers.dispatches, threads.dispatches);
-  EXPECT_EQ(fibers.status.ToString(), threads.status.ToString());
-  EXPECT_DOUBLE_EQ(fibers.end_time, threads.end_time);
-  EXPECT_EQ(fibers.completed, threads.completed);
-  EXPECT_EQ(fibers.killed, threads.killed);
-  EXPECT_EQ(fibers.killed, 1u);
-}
+  Outcome Run() {
+    for (Pid pid = 0; pid < kInitialProcs; ++pid) {
+      Spawn(Scripts::StartOf(pid));
+    }
+    while (Step()) {
+    }
+    out_.ok = std::none_of(procs_.begin(), procs_.end(), [](const Proc& p) {
+      return p.state == State::kBlocked;
+    });
+    out_.end_time = frontier_;
+    return out_;
+  }
 
-TEST(CrossBackendTest, DeadlockReportsMatch) {
-  auto run = [](Backend backend) {
-    Engine engine(1, backend);
-    const Pid a = engine.Spawn("hold.a", [](Context& ctx) {
-      ctx.BlockOn("lock b", 1);  // waits on hold.b
-    });
-    engine.Spawn("hold.b", [a](Context& ctx) {
-      ctx.Compute(0.5);
-      ctx.BlockOn("lock a", a);
-    });
-    return engine.Run().status.ToString();
+ private:
+  enum class State : std::uint8_t {
+    kReady,
+    kRunning,
+    kBlocked,
+    kDone,
+    kKilled,
   };
-  const std::string fibers = run(Backend::kFibers);
-  const std::string threads = run(Backend::kThreads);
-  EXPECT_EQ(fibers, threads);
-  EXPECT_NE(fibers.find("lock"), std::string::npos);
-}
+  struct Proc {
+    const std::vector<Action>* script = nullptr;
+    std::size_t pc = 0;
+    SimTime clock = 0;
+    SimTime wake_at = 0;
+    State state = State::kReady;
+    bool kill_requested = false;
+    std::optional<SimTime> sleep_until;  // parked inside SleepFor's loop
+  };
+  struct Event {
+    SimTime t;
+    std::uint64_t seq;
+    std::uint32_t id;                 // scripted events only
+    const std::vector<Action>* then;  // nullptr: Kill's event
+    Pid victim;                       // Kill's event only
+  };
 
-TEST(CrossBackendTest, BackendCounterIdentifiesScheduler) {
-  Engine fibers(1, Backend::kFibers);
-  Engine threads(1, Backend::kThreads);
-  EXPECT_EQ(fibers.obs().CounterByName("sim.backend.fibers"), 1u);
-  EXPECT_EQ(fibers.obs().CounterByName("sim.backend.threads"), 0u);
-  EXPECT_EQ(threads.obs().CounterByName("sim.backend.threads"), 1u);
-  EXPECT_EQ(fibers.backend(), Backend::kFibers);
-  EXPECT_EQ(threads.backend(), Backend::kThreads);
-}
+  bool Step() {
+    std::optional<Pid> proc;  // least (wake time, pid)
+    for (Pid pid = 0; pid < procs_.size(); ++pid) {
+      const Proc& p = procs_[pid];
+      if (p.state != State::kReady) continue;
+      if (proc && p.wake_at == procs_[*proc].wake_at) {
+        ++coverage_.process_process_ties;
+      }
+      if (!proc || p.wake_at < procs_[*proc].wake_at) proc = pid;
+    }
+    std::optional<std::size_t> event;  // least (time, scheduling order)
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      const Event& e = events_[i];
+      if (event && e.t == events_[*event].t) ++coverage_.event_event_ties;
+      if (!event || e.t < events_[*event].t ||
+          (e.t == events_[*event].t && e.seq < events_[*event].seq)) {
+        event = i;
+      }
+    }
+    if (!proc && !event) return false;
+    if (proc && event && events_[*event].t == procs_[*proc].wake_at) {
+      ++coverage_.event_process_ties;
+    }
+    // An event runs before a process waking at the same time.
+    if (event && (!proc || events_[*event].t <= procs_[*proc].wake_at)) {
+      const Event e = events_[*event];
+      events_.erase(events_.begin() + static_cast<std::ptrdiff_t>(*event));
+      RunEvent(e);
+    } else {
+      Dispatch(*proc);
+    }
+    return true;
+  }
 
-// --------------------------------------------------------------------------
-// Backend name parsing: --sim-backend= and PSTK_SIM_BACKEND share one
-// parser, and unknown spellings must fail loudly with the valid list.
-// --------------------------------------------------------------------------
+  void RunEvent(const Event& e) {
+    frontier_ = std::max(frontier_, e.t);
+    activation_ = e.t;
+    if (e.then == nullptr) {
+      KillNow(e.victim);
+      return;
+    }
+    out_.log.push_back(Entry{'E', e.id, e.t});
+    for (const Action& a : *e.then) {
+      switch (a.kind) {
+        case Action::kWake: Wake(Target(a), e.t + a.dt); break;
+        case Action::kKillNow: KillNow(Target(a)); break;
+        case Action::kEvent: Schedule(e.t + a.dt, &a.then); break;
+        case Action::kSpawn: Spawn(frontier_); break;
+        case Action::kSpawnAt: Spawn(e.t + a.dt); break;
+        default: break;
+      }
+    }
+  }
 
-TEST(BackendParseTest, AcceptsExactlyTheDocumentedSpellings) {
-  EXPECT_EQ(ParseBackendName("fibers"), Backend::kFibers);
-  EXPECT_EQ(ParseBackendName("threads"), Backend::kThreads);
-  EXPECT_FALSE(ParseBackendName("").has_value());
-  EXPECT_FALSE(ParseBackendName("Fibers").has_value());
-  EXPECT_FALSE(ParseBackendName("fiber").has_value());
-  EXPECT_FALSE(ParseBackendName("green-threads").has_value());
-  EXPECT_EQ(ValidBackendNames(), "fibers, threads");
-  EXPECT_EQ(BackendName(Backend::kFibers), "fibers");
-  EXPECT_EQ(BackendName(Backend::kThreads), "threads");
-}
+  void Dispatch(Pid pid) {
+    Proc& p = procs_[pid];
+    p.clock = std::max(p.clock, p.wake_at);
+    frontier_ = std::max(frontier_, p.clock);
+    activation_ = p.clock;
+    p.state = State::kRunning;
+    ++out_.dispatches;
+    out_.log.push_back(Entry{'P', pid, p.clock});
+    RunSegment(p);
+    frontier_ = std::max(frontier_, p.clock);
+  }
 
-TEST(BackendParseDeathTest, UnknownEnvValueDiesListingValidBackends) {
-  // Regression: an unrecognized PSTK_SIM_BACKEND used to degrade to a
-  // warning + silent fibers fallback; it must abort naming the valid set.
-  ::setenv("PSTK_SIM_BACKEND", "green-threads", 1);
-  EXPECT_DEATH(
-      { (void)DefaultBackend(); },
-      "unknown PSTK_SIM_BACKEND 'green-threads'.*valid backends: "
-      "fibers, threads");
-  ::unsetenv("PSTK_SIM_BACKEND");
+  /// Runs p's script from where it parked up to its next park or its end.
+  void RunSegment(Proc& p) {
+    if (p.kill_requested) {
+      p.state = State::kKilled;
+      ++out_.killed;
+      return;
+    }
+    if (p.sleep_until) {
+      if (p.clock < *p.sleep_until) {  // woken early: sleep on
+        MakeReady(p, *p.sleep_until);
+        return;
+      }
+      p.sleep_until.reset();
+    }
+    while (p.pc < p.script->size()) {
+      const Action& a = (*p.script)[p.pc++];
+      switch (a.kind) {
+        case Action::kCompute: p.clock += a.dt; break;
+        case Action::kSleep:
+          if (a.dt > 0) {
+            p.sleep_until = p.clock + a.dt;
+            MakeReady(p, *p.sleep_until);
+            return;
+          }
+          break;
+        case Action::kYield: MakeReady(p, p.clock); return;
+        case Action::kBlock: p.state = State::kBlocked; return;
+        case Action::kBlockUntil: MakeReady(p, p.clock + a.dt); return;
+        case Action::kWake: Wake(Target(a), p.clock + a.dt); break;
+        case Action::kEvent: Schedule(p.clock + a.dt, &a.then); break;
+        case Action::kSpawn: Spawn(p.clock); break;
+        case Action::kSpawnAt: Spawn(p.clock + a.dt); break;
+        case Action::kKill:
+          events_.push_back(
+              Event{p.clock + a.dt, next_seq_++, 0, nullptr, Target(a)});
+          break;
+        case Action::kKillNow: break;
+      }
+    }
+    p.state = State::kDone;
+    ++out_.completed;
+  }
+
+  void Wake(Pid pid, SimTime t) {
+    Proc& p = procs_[pid];
+    const SimTime at = std::max(t, p.clock);
+    if (p.state == State::kBlocked) {
+      MakeReady(p, at);
+    } else if (p.state == State::kReady) {
+      if (at < p.wake_at) {
+        ++coverage_.decrease_keys;
+        p.wake_at = at;
+      } else if (at > p.wake_at) {
+        ++coverage_.ignored_increases;
+      }
+    }
+  }
+
+  void KillNow(Pid pid) {
+    Proc& p = procs_[pid];
+    if (p.state == State::kDone || p.state == State::kKilled) return;
+    p.kill_requested = true;
+    if (activation_ > p.clock) ++coverage_.kill_clamps;
+    const SimTime t = std::max(activation_, p.clock);
+    if (p.state == State::kBlocked) {
+      MakeReady(p, t);
+    } else if (p.state == State::kReady && p.wake_at > t) {
+      ++coverage_.kill_reschedules;
+      p.wake_at = t;
+    }
+  }
+
+  void Schedule(SimTime t, const std::vector<Action>* then) {
+    events_.push_back(Event{t, next_seq_++, next_id_++, then, kNoPid});
+  }
+
+  void Spawn(SimTime start) {
+    Proc p;
+    p.script = &scripts_.For(static_cast<Pid>(procs_.size()));
+    p.clock = start;
+    p.wake_at = start;
+    procs_.push_back(p);
+  }
+
+  static void MakeReady(Proc& p, SimTime t) {
+    p.state = State::kReady;
+    p.wake_at = t;
+  }
+
+  [[nodiscard]] Pid Target(const Action& a) const {
+    return static_cast<Pid>(a.pick % procs_.size());
+  }
+
+  Scripts& scripts_;
+  Coverage& coverage_;
+  std::deque<Proc> procs_;  // stable references across spawns
+  std::vector<Event> events_;
+  std::uint64_t next_seq_ = 0;
+  std::uint32_t next_id_ = 0;
+  SimTime frontier_ = 0;
+  SimTime activation_ = 0;
+  Outcome out_;
+};
+
+}  // namespace refmodel
+
+TEST(EngineTest, StepAgreesWithReferenceModel) {
+  refmodel::Coverage coverage;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    refmodel::Scripts scripts(seed);
+    const refmodel::Outcome engine = refmodel::RunEngine(scripts, seed);
+    const refmodel::Outcome model = refmodel::Model(scripts, coverage).Run();
+    std::size_t at = 0;
+    while (at < engine.log.size() && at < model.log.size() &&
+           engine.log[at] == model.log[at]) {
+      ++at;
+    }
+    ASSERT_TRUE(at == engine.log.size() && at == model.log.size())
+        << "seed " << seed << ": action " << at << " differs\n  engine:"
+        << refmodel::Render(engine.log, at)
+        << "\n  model: " << refmodel::Render(model.log, at);
+    ASSERT_EQ(engine.dispatches, model.dispatches) << "seed " << seed;
+    ASSERT_EQ(engine.ok, model.ok) << "seed " << seed;
+    ASSERT_EQ(engine.end_time, model.end_time) << "seed " << seed;
+    ASSERT_EQ(engine.completed, model.completed) << "seed " << seed;
+    ASSERT_EQ(engine.killed, model.killed) << "seed " << seed;
+  }
+  // Every rule the model restates was put to the test.
+  EXPECT_GT(coverage.event_process_ties, 0);
+  EXPECT_GT(coverage.event_event_ties, 0);
+  EXPECT_GT(coverage.process_process_ties, 0);
+  EXPECT_GT(coverage.decrease_keys, 0);
+  EXPECT_GT(coverage.ignored_increases, 0);
+  EXPECT_GT(coverage.kill_reschedules, 0);
+  EXPECT_GT(coverage.kill_clamps, 0);
 }
 
 // --------------------------------------------------------------------------
@@ -713,7 +1088,7 @@ TEST(SchedHeapTest, PopAfterManyStampsPreservesGlobalOrder) {
 TEST(FiberSchedulerTest, StackPoolReusesAcrossSequentialSpawns) {
   // Processes whose lifetimes never overlap share one pooled stack: the
   // allocated counter stays at 1 while reuse climbs.
-  Engine engine(1, Backend::kFibers);
+  Engine engine(1);
   for (int i = 0; i < 32; ++i) {
     engine.SpawnAt(static_cast<SimTime>(i), "seq" + std::to_string(i),
                    [](Context& ctx) { ctx.Compute(0.5); });
@@ -723,12 +1098,36 @@ TEST(FiberSchedulerTest, StackPoolReusesAcrossSequentialSpawns) {
   EXPECT_EQ(engine.obs().CounterByName("sim.fiber.stacks_reused"), 31u);
 }
 
+TEST(ConditionTest, DropsKilledWaiter) {
+  Engine engine;
+  Condition cond;
+  bool victim_released = false;
+  bool survivor_released = false;
+  const Pid victim = engine.Spawn("victim", [&](Context& ctx) {
+    cond.Wait(ctx, "cond");
+    victim_released = true;
+  });
+  engine.Spawn("survivor", [&](Context& ctx) {
+    ctx.Compute(0.5);
+    cond.Wait(ctx, "cond");
+    survivor_released = true;
+  });
+  engine.Spawn("driver", [&](Context& ctx) {
+    ctx.engine().Kill(victim, 1.0);
+    ctx.SleepUntil(2.0);
+    EXPECT_TRUE(cond.NotifyOne(ctx.engine(), ctx.now()));
+  });
+  ASSERT_TRUE(engine.Run().status.ok());
+  EXPECT_FALSE(victim_released);
+  EXPECT_TRUE(survivor_released);
+}
+
 TEST(ConditionTest, ManyKilledWaitersDoNotStallNotify) {
   // Regression for the O(n) find-erase on kill-unwind and the O(dead)
   // rescan in NotifyOne: pile up killed waiters in front of one live one
   // and check a single NotifyOne releases it, with waiter_count tracking
   // live (not queued) slots throughout.
-  Engine engine(1, Backend::kFibers);
+  Engine engine(1);
   Condition cond;
   const int kDead = 500;
   int released = 0;
@@ -786,7 +1185,7 @@ TEST(FiberSchedulerTest, HundredThousandProcessStorm) {
 #else
   const int n = 100000;
 #endif
-  Engine engine(1, Backend::kFibers);
+  Engine engine(1);
   long long done = 0;
   for (int i = 0; i < n; ++i) {
     engine.Spawn("p" + std::to_string(i), [&, i](Context& ctx) {
@@ -799,6 +1198,73 @@ TEST(FiberSchedulerTest, HundredThousandProcessStorm) {
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(done, n);
   EXPECT_EQ(result.completed, static_cast<std::size_t>(n));
+}
+
+// Frames of at least kFrameBytes, every byte written, so a recursion that
+// runs off its stack writes over the canary rather than skipping it. Not
+// ASan-instrumented: ASan would put unwritten redzones between the frames,
+// and the canary could fall into one.
+constexpr std::size_t kFrameBytes = 1024;
+
+[[gnu::noinline, gnu::no_sanitize_address]] void Recurse(Context& ctx,
+                                                         std::size_t depth) {
+  volatile char frame[kFrameBytes];
+  for (std::size_t i = 0; i < kFrameBytes; ++i) {
+    frame[i] = static_cast<char>(depth);
+  }
+  if (depth == 0) {
+    ctx.Yield();  // park with every frame still live
+  } else {
+    Recurse(ctx, depth - 1);
+  }
+  frame[0] = frame[kFrameBytes - 1];  // keeps the frame live across the call
+}
+
+TEST(FiberSchedulerDeathTest, StackOverflowAbortsNamingProcessAndKnob) {
+  // Recurse a quarter past the end of the configured stack. The overrun
+  // lands in the slice below, which belongs to a neighbour that ran first
+  // and is parked; the engine must abort on the switch back, before that
+  // neighbour can run on its damaged stack.
+  const std::size_t depth = FiberStackBytes() / kFrameBytes * 5 / 4;
+  EXPECT_DEATH(
+      {
+        Engine engine;
+        engine.Spawn("neighbour", [](Context& ctx) { ctx.Block("parked"); });
+        engine.Spawn("deep", [depth](Context& ctx) { Recurse(ctx, depth); });
+        (void)engine.Run();
+      },
+      "process 'deep' \\(pid 1\\) overran its [0-9]+ KiB fiber stack.*"
+      "raise PSTK_SIM_STACK_KB");
+}
+
+TEST(FiberSchedulerTest, StackSizeComesFromWholeKibibytes) {
+  ::setenv("PSTK_SIM_STACK_KB", "128", 1);
+  EXPECT_EQ(FiberStackBytes(), std::size_t{128} << 10);
+  ::setenv("PSTK_SIM_STACK_KB", "64", 1);
+  EXPECT_EQ(FiberStackBytes(), std::size_t{64} << 10);
+  ::setenv("PSTK_SIM_STACK_KB", "", 1);  // empty reads as unset
+#if defined(PSTK_TEST_ASAN)
+  EXPECT_EQ(FiberStackBytes(), std::size_t{512} << 10);
+#else
+  EXPECT_EQ(FiberStackBytes(), std::size_t{256} << 10);
+#endif
+  ::unsetenv("PSTK_SIM_STACK_KB");
+}
+
+TEST(FiberSchedulerDeathTest, MalformedStackSizeAbortsNamingTheVariable) {
+  // Regression: strtol stopped at the first non-digit, so "1M" meant
+  // 1 KiB (clamped to 64) and "abc" silently kept the default.
+  // 18014398509481984 KiB is 2^64 bytes: shifting it to bytes overflows.
+  for (const char* bad : {"1M", "abc", "63", "0", "-256", "+256", " 256",
+                          "256KB", "18014398509481984"}) {
+    ::setenv("PSTK_SIM_STACK_KB", bad, 1);
+    EXPECT_DEATH({ Engine engine; },
+                 std::string("PSTK_SIM_STACK_KB='") +
+                     (bad[0] == '+' ? "\\" : "") + bad +
+                     "' is not a whole number of KiB")
+        << bad;
+  }
+  ::unsetenv("PSTK_SIM_STACK_KB");
 }
 
 // --------------------------------------------------------------------------
