@@ -4,7 +4,11 @@
 // markers, exactly like the paper counted benchmark bodies).
 //
 //   ./build/bench/table3_loc [root=<repo root>]
+//
+// Exits 1 unless the boilerplate shares rank OpenMP < Spark < Hadoop MR <
+// MPI, the paper's ordering. Its stdout is a golden (bench/golden).
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -59,6 +63,7 @@ int main(int argc, char** argv) {
   table.SetHeader({"framework", "code lines", "boilerplate",
                    "boilerplate %", "lint findings"});
   bool ok = true;
+  std::map<std::string, double> share;
   for (const Subject& subject : subjects) {
     auto report = analysis::AnalyzeFile(subject.label,
                                         root + "/" + subject.file,
@@ -78,6 +83,7 @@ int main(int argc, char** argv) {
       ok = false;
       continue;
     }
+    share[subject.label] = report->BoilerplateShare();
     table.Row()
         .Cell(subject.label)
         .Cell(std::int64_t{report->code_lines})
@@ -86,6 +92,14 @@ int main(int argc, char** argv) {
         .Cell(static_cast<std::int64_t>(findings->size()));
   }
   table.Print();
+  const bool ranked = share.size() == 4 && share["OpenMP"] < share["Spark"] &&
+                      share["Spark"] < share["Hadoop MR"] &&
+                      share["Hadoop MR"] < share["MPI"];
+  if (!ranked) {
+    std::fprintf(stderr, "table3_loc: boilerplate shares do not rank OpenMP "
+                         "< Spark < Hadoop MR < MPI\n");
+    ok = false;
+  }
 
   // The same lint lens over the framework *implementations*: how many
   // statically detectable misuse patterns live in each paradigm runtime
