@@ -73,7 +73,7 @@ struct FtConfig {
   int iterations = 24;
   SimTime down_for = Seconds(1);       // transient outage Spark/MR ride out
   SimTime restart_delay = Seconds(240);  // HPC requeue (what lineage avoids)
-  SimTime horizon = Seconds(6000);
+  SimTime fault_horizon = Seconds(6000);
   workloads::Graph graph;
   std::vector<double> reference;
 };
@@ -546,7 +546,7 @@ int main(int argc, char** argv) {
   cfg.nodes = static_cast<int>(config->GetInt("nodes", 8));
   cfg.iterations =
       static_cast<int>(config->GetInt("iters", smoke ? 3 : 24));
-  if (smoke) cfg.horizon = Seconds(1200);
+  if (smoke) cfg.fault_horizon = Seconds(1200);
   workloads::GraphParams gparams;
   gparams.vertices = static_cast<VertexId>(
       config->GetInt("vertices", smoke ? 6000 : 60000));
@@ -640,7 +640,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < mtbfs.size(); ++i) {
       const double mtbf = mtbfs[i];
       const auto plan =
-          sim::FaultPlan::Exponential(mtbf, cfg.horizon, cfg.nodes,
+          sim::FaultPlan::Exponential(mtbf, cfg.fault_horizon, cfg.nodes,
                                       /*first_node=*/1, cfg.down_for,
                                       kFaultSeed + i);
       const SimTime tau = ckpt::YoungDalyInterval(ckpt_cost, mtbf);
@@ -713,7 +713,7 @@ int main(int argc, char** argv) {
 
     const double mtbf_u = smoke ? 4.0 : 1.0;
     const auto plan_u =
-        sim::FaultPlan::Exponential(mtbf_u, cfg_b.horizon, cfg_b.nodes,
+        sim::FaultPlan::Exponential(mtbf_u, cfg_b.fault_horizon, cfg_b.nodes,
                                     /*first_node=*/1, cfg_b.down_for,
                                     kFaultSeed + 11);
     const SimTime tau_u = ckpt::YoungDalyInterval(calib->cost, mtbf_u);

@@ -110,65 +110,55 @@ int Program::Find(const std::string& name, int arity) const {
   return -1;
 }
 
-std::vector<int> Program::ReachableFrom(int fn) const {
-  std::vector<char> seen(fns_.size(), 0);
-  std::vector<int> stack{fn};
-  std::vector<int> out;
-  while (!stack.empty()) {
-    const int at = stack.back();
-    stack.pop_back();
-    for (int c : fns_[static_cast<std::size_t>(at)].callees) {
-      if (seen[static_cast<std::size_t>(c)] != 0) continue;
-      seen[static_cast<std::size_t>(c)] = 1;
-      out.push_back(c);
-      stack.push_back(c);
-    }
-  }
-  return out;
-}
-
 namespace {
 
-/// Memoized bottom-up collective-sequence solver; also the shared
-/// statement-list walker Program::CollectiveSeqOf reuses post-analysis.
-/// `Walk` returns kReturned when control provably leaves the function at
-/// the end of the list (a tail `return` is fine as long as both branch
-/// arms agree), kUnknown when the sequence is not statically provable.
+using Seq = std::optional<std::vector<std::string>>;
+
+/// Path-exact collective-sequence walker, memoized per function. `Walk`
+/// returns the sequence that every path from the start of a statement
+/// list to the function's exit executes, or nullopt when two paths
+/// disagree or a step is unprovable. It runs backwards over each list, so
+/// every statement sees the sequence of what follows it:
+///   * `return` ends its path; what follows it is unreachable from there;
+///   * a branch is provable when both arms, each followed by the rest of
+///     the list, agree (a switch is a branch with an empty else);
+///   * a loop runs zero or one time, and the two must agree: its header
+///     (the loop test) runs once, or before and after the body; a step
+///     inside the body that contributes a collective is unprovable,
+///     since the trip count is not known.
+/// Gate mode adds one rule: a step reaching Checkpoint() is unprovable.
 class SeqSolver {
  public:
-  enum class WalkRes { kOk, kReturned, kUnknown };
+  /// kSolve computes every summary; kRead and kGate only read the final
+  /// summaries and never mutate anything.
+  enum class Mode : char { kSolve, kRead, kGate };
   enum class FnState : char { kUnvisited, kInProgress, kDone };
 
-  /// In read mode every function starts kDone, so FnSeq only reads the
-  /// stored (final) summaries and never mutates anything.
   SeqSolver(const std::vector<Program::FnEntry>& fns, const Program& prog,
-            bool read_summaries = false)
+            Mode mode)
       : fns_(fns),
         prog_(prog),
-        state_(fns.size(),
-               read_summaries ? FnState::kDone : FnState::kUnvisited) {}
+        gate_(mode == Mode::kGate),
+        state_(fns.size(), mode == Mode::kSolve ? FnState::kUnvisited
+                                                : FnState::kDone) {}
 
   /// Sequence of function `idx`; nullptr when unknown (including any
   /// recursion through `idx`).
   const std::vector<std::string>* FnSeq(int idx) {
     // Mutation only happens in solve mode, where the caller (Analyze)
-    // owns the entries non-const; read mode never reaches the writes.
+    // owns the entries non-const; read modes never reach the writes.
     auto& entry = const_cast<Program::FnEntry&>(
         fns_[static_cast<std::size_t>(idx)]);
     FnState& st = state_[static_cast<std::size_t>(idx)];
     if (st == FnState::kInProgress) return nullptr;  // cycle -> unknown
-    if (st == FnState::kDone) {
-      return entry.summary.sequence_known ? &entry.summary.collective_seq
-                                          : nullptr;
+    if (st == FnState::kUnvisited) {
+      st = FnState::kInProgress;
+      Seq seq = Walk(entry.fn->body, std::vector<std::string>{}, false);
+      st = FnState::kDone;
+      entry.summary.sequence_known = seq.has_value();
+      entry.summary.collective_seq = std::move(seq).value_or(
+          std::vector<std::string>{});
     }
-    st = FnState::kInProgress;
-    std::vector<std::string> seq;
-    const WalkRes r = Walk(entry.fn->body, &seq);
-    st = FnState::kDone;
-    entry.summary.sequence_known = r != WalkRes::kUnknown;
-    entry.summary.collective_seq =
-        entry.summary.sequence_known ? std::move(seq)
-                                     : std::vector<std::string>{};
     return entry.summary.sequence_known ? &entry.summary.collective_seq
                                         : nullptr;
   }
@@ -179,135 +169,105 @@ class SeqSolver {
     }
   }
 
-  WalkRes Walk(const std::vector<Stmt>& stmts,
-               std::vector<std::string>* seq) {
-    for (const Stmt& s : stmts) {
-      // Calls in the statement (or loop/branch header) run first.
-      if (s.kind != StmtKind::kLoop) {
-        for (const CallExpr& c : s.calls) {
-          if (!AppendCall(c, seq)) return WalkRes::kUnknown;
-        }
-      }
-      switch (s.kind) {
-        case StmtKind::kReturn:
-          // Nothing after this statement executes; the caller-side
-          // branch matching checks both arms agree on returning.
-          return WalkRes::kReturned;
-        case StmtKind::kLoop: {
-          // A collective whose repetition count we cannot prove makes
-          // the sequence unknown; a collective-free loop is skippable.
-          bool header_collective = std::any_of(
-              s.calls.begin(), s.calls.end(), [&](const CallExpr& c) {
-                return CallReachesCollective(c);
-              });
-          if (header_collective || SubtreeReaches(s.children)) {
-            return WalkRes::kUnknown;
-          }
-          break;
-        }
-        case StmtKind::kBranch: {
-          std::vector<std::string> then_seq;
-          std::vector<std::string> else_seq;
-          const WalkRes tr = Walk(s.children, &then_seq);
-          const WalkRes er = Walk(s.else_children, &else_seq);
-          if (tr == WalkRes::kUnknown || er == WalkRes::kUnknown) {
-            return WalkRes::kUnknown;
-          }
-          if (tr != er || then_seq != else_seq) return WalkRes::kUnknown;
-          seq->insert(seq->end(), then_seq.begin(), then_seq.end());
-          if (tr == WalkRes::kReturned) return WalkRes::kReturned;
-          break;
-        }
-        case StmtKind::kBlock: {
-          const WalkRes r = Walk(s.children, seq);
-          if (r != WalkRes::kOk) return r;
-          break;
-        }
-        default:
-          break;
-      }
+  /// Sequence of `stmts` followed by `after`, what runs once control
+  /// falls off the end of the list.
+  Seq Walk(const std::vector<Stmt>& stmts, Seq after, bool in_loop) {
+    for (auto it = stmts.rbegin(); it != stmts.rend(); ++it) {
+      after = Step(*it, std::move(after), in_loop);
     }
-    return WalkRes::kOk;
-  }
-
-  bool CallReachesCollective(const CallExpr& c) {
-    if (IsCollectiveMethod(c.method)) return true;
-    for (int idx : prog_.Resolve(c)) {
-      const std::vector<std::string>* sub = FnSeq(idx);
-      if (sub != nullptr && !sub->empty()) return true;
-      if (fns_[static_cast<std::size_t>(idx)].summary.calls_collective) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool SubtreeReaches(const std::vector<Stmt>& stmts) {
-    bool found = false;
-    ForEachStmt(stmts, [&](const Stmt& s) {
-      if (found) return;
-      for (const CallExpr& c : s.calls) {
-        if (CallReachesCollective(c)) {
-          found = true;
-          return;
-        }
-      }
-    });
-    return found;
+    return after;
   }
 
  private:
+  Seq Step(const Stmt& s, Seq after, bool in_loop) {
+    switch (s.kind) {
+      case StmtKind::kReturn:
+        after = std::vector<std::string>{};
+        break;
+      case StmtKind::kBlock:
+        after = Walk(s.children, std::move(after), in_loop);
+        break;
+      case StmtKind::kBranch: {
+        const Seq then_seq = Walk(s.children, after, in_loop);
+        after = Walk(s.else_children, std::move(after), in_loop);
+        if (then_seq != after) return std::nullopt;
+        break;
+      }
+      case StmtKind::kLoop: {
+        // Zero iterations: header, then `after`. One: header, body,
+        // header, then `after` — unless the body returns first.
+        const Seq skip = CallsThen(s, std::move(after), in_loop);
+        if (CallsThen(s, Walk(s.children, skip, /*in_loop=*/true),
+                      in_loop) != skip) {
+          return std::nullopt;
+        }
+        return skip;
+      }
+      case StmtKind::kPlain:
+      case StmtKind::kPragma:
+        break;
+    }
+    // A branch header runs before either arm.
+    return CallsThen(s, std::move(after), in_loop);
+  }
+
+  /// The collectives of `s`'s own calls, in order, followed by `after`.
+  Seq CallsThen(const Stmt& s, Seq after, bool in_loop) {
+    std::vector<std::string> seq;
+    for (const CallExpr& c : s.calls) {
+      if (!AppendCall(c, in_loop, &seq)) return std::nullopt;
+    }
+    if (!after.has_value() || seq.empty()) return after;
+    seq.insert(seq.end(), after->begin(), after->end());
+    return seq;
+  }
+
   /// Append a single call's collective contribution. A collective method
   /// name contributes itself (never expanded further — `comm.Barrier()`
   /// is a Barrier even when a local definition of Barrier is in scope);
-  /// a call resolving to local definitions contributes their common
-  /// sequence, or poisons the walk when the candidates disagree.
-  bool AppendCall(const CallExpr& c, std::vector<std::string>* seq) {
+  /// a call resolving to collective-reaching definitions contributes
+  /// their common sequence, and fails when they disagree.
+  bool AppendCall(const CallExpr& c, bool in_loop,
+                  std::vector<std::string>* seq) {
+    // Checkpoint() epochs are first-arrival-decides, not collectives; the
+    // ckpt rule owns them, so the gate never calls such a path uniform.
+    if (gate_ && c.method == "Checkpoint") return false;
     if (IsCollectiveMethod(c.method)) {
+      if (in_loop) return false;
       seq->push_back(c.method);
       return true;
     }
     const std::vector<std::string>* agreed = nullptr;
     for (int idx : prog_.Resolve(c)) {
+      const FunctionSummary& callee =
+          fns_[static_cast<std::size_t>(idx)].summary;
+      if (gate_ && callee.calls_checkpoint) return false;
+      if (!callee.calls_collective) continue;
       const std::vector<std::string>* sub = FnSeq(idx);
-      if (sub == nullptr) {
-        // Unknown callee sequence only matters if it might contain a
-        // collective at all.
-        if (fns_[static_cast<std::size_t>(idx)].summary.calls_collective ||
-            !fns_[static_cast<std::size_t>(idx)]
-                 .summary.sequence_known) {
-          return false;
-        }
-        continue;
-      }
-      if (agreed == nullptr) {
-        agreed = sub;
-      } else if (*agreed != *sub) {
+      if (sub == nullptr || (agreed != nullptr && *agreed != *sub)) {
         return false;
       }
+      agreed = sub;
     }
-    if (agreed != nullptr) {
-      seq->insert(seq->end(), agreed->begin(), agreed->end());
-    }
+    if (agreed == nullptr) return true;
+    if (in_loop && !agreed->empty()) return false;
+    seq->insert(seq->end(), agreed->begin(), agreed->end());
     return true;
   }
 
   const std::vector<Program::FnEntry>& fns_;
   const Program& prog_;
+  const bool gate_;
   std::vector<FnState> state_;
 };
 
 }  // namespace
 
 std::optional<std::vector<std::string>> Program::CollectiveSeqOf(
-    const std::vector<Stmt>& stmts) const {
-  // Summaries are final after Analyze: a read-mode solver only consults
-  // them, it never recomputes.
-  SeqSolver reader(fns_, *this, /*read_summaries=*/true);
-  std::vector<std::string> out;
-  const SeqSolver::WalkRes r = reader.Walk(stmts, &out);
-  if (r == SeqSolver::WalkRes::kUnknown) return std::nullopt;
-  return out;
+    const std::vector<Stmt>& stmts, bool gate) const {
+  SeqSolver reader(fns_, *this,
+                   gate ? SeqSolver::Mode::kGate : SeqSolver::Mode::kRead);
+  return reader.Walk(stmts, std::vector<std::string>{}, false);
 }
 
 std::optional<Program::CollectiveSite> Program::FirstCollectiveSite(
@@ -377,8 +337,6 @@ Program Program::Analyze(std::vector<ProgramSource> sources) {
     for (const Function& fn : fu.unit.functions) {
       FnEntry e{fu.file, &fn, FunctionFlow(fn, p.know_.get()),
                 FunctionSummary{}, {}};
-      e.summary.returns_rank = rank_fns.count(fn.name) != 0;
-      e.summary.returns_wide = wide_fns.count(fn.name) != 0;
       for (const FlowEvent& ev : e.flow.events()) {
         if (ev.call == nullptr) continue;
         if (IsCollectiveMethod(ev.call->method) &&
@@ -387,11 +345,7 @@ Program Program::Analyze(std::vector<ProgramSource> sources) {
           e.summary.collective_line = ev.call->line;
           e.summary.collective_name = ev.call->method;
         }
-        if (IsBlockingMethod(ev.call->method) && !e.summary.calls_blocking) {
-          e.summary.calls_blocking = true;
-          e.summary.blocking_line = ev.call->line;
-          e.summary.blocking_name = ev.call->method;
-        }
+        if (IsBlockingMethod(ev.call->method)) e.summary.calls_blocking = true;
         if (ev.call->method == "Checkpoint" && !e.summary.calls_checkpoint) {
           e.summary.calls_checkpoint = true;
           e.summary.checkpoint_line = ev.call->line;
@@ -450,11 +404,9 @@ Program Program::Analyze(std::vector<ProgramSource> sources) {
       if (ev.call == nullptr) continue;
       const bool need_coll =
           e.summary.calls_collective && e.summary.collective_line == 0;
-      const bool need_block =
-          e.summary.calls_blocking && e.summary.blocking_line == 0;
       const bool need_ckpt =
           e.summary.calls_checkpoint && e.summary.checkpoint_line == 0;
-      if (!need_coll && !need_block && !need_ckpt) break;
+      if (!need_coll && !need_ckpt) break;
       for (int idx : p.Resolve(*ev.call)) {
         const FunctionSummary& cs =
             p.fns_[static_cast<std::size_t>(idx)].summary;
@@ -464,12 +416,6 @@ Program Program::Analyze(std::vector<ProgramSource> sources) {
           e.summary.collective_name = cs.collective_name.empty()
                                           ? ev.call->method
                                           : cs.collective_name;
-        }
-        if (need_block && cs.calls_blocking && e.summary.blocking_line == 0) {
-          e.summary.blocking_line = ev.call->line;
-          e.summary.blocking_name = cs.blocking_name.empty()
-                                        ? ev.call->method
-                                        : cs.blocking_name;
         }
         if (need_ckpt && cs.calls_checkpoint &&
             e.summary.checkpoint_line == 0) {
@@ -491,11 +437,6 @@ Program Program::Analyze(std::vector<ProgramSource> sources) {
           cs.collective_line != 0) {
         e.summary.collective_line = cs.collective_line;
         e.summary.collective_name = cs.collective_name;
-      }
-      if (e.summary.calls_blocking && e.summary.blocking_line == 0 &&
-          cs.blocking_line != 0) {
-        e.summary.blocking_line = cs.blocking_line;
-        e.summary.blocking_name = cs.blocking_name;
       }
       if (e.summary.calls_checkpoint && e.summary.checkpoint_line == 0 &&
           cs.checkpoint_line != 0) {
@@ -587,8 +528,8 @@ Program Program::Analyze(std::vector<ProgramSource> sources) {
                           e.summary.peer_params.end(),
                           pidx) == e.summary.peer_params.end()) {
               e.summary.peer_params.push_back(pidx);
-              if (e.summary.send_line == 0) {
-                e.summary.send_line = ev.call->line;
+              if (e.summary.exchange_line == 0) {
+                e.summary.exchange_line = ev.call->line;
               }
               changed = true;
             }
@@ -603,8 +544,7 @@ Program Program::Analyze(std::vector<ProgramSource> sources) {
   }
 
   // --- phase 4c: collective sequences ------------------------------------
-  SeqSolver solver(p.fns_, p);
-  solver.SolveAll();
+  SeqSolver(p.fns_, p, SeqSolver::Mode::kSolve).SolveAll();
 
   return p;
 }

@@ -14,10 +14,11 @@
 //   4. bottom-up summaries: monotone bool facts (transitively calls a
 //      collective / blocking primitive / Checkpoint) via fixpoint over
 //      call edges, parameter facts (count params, peer params) via a
-//      second fixpoint, and per-function *collective sequences* via
-//      memoized DFS where recursion, collectives under loops, non-tail
-//      returns, and mismatched branch arms all degrade the sequence to
-//      "unknown" rather than guessing.
+//      second fixpoint, and per-function *collective sequences* via a
+//      memoized path-exact walk: the sequence every path to the exit
+//      executes, with loops run zero or one time and a `return` ending
+//      its path. Recursion, collectives under loops and paths that
+//      disagree make the sequence "unknown" rather than a guess.
 //
 // Soundness stance: intentionally unsound-but-useful. There is no
 // virtual-dispatch resolution (every same-name definition is merged), no
@@ -49,16 +50,11 @@ struct FunctionSummary {
   bool calls_blocking = false;    // transitively reaches Wait/Recv/join/...
   bool calls_checkpoint = false;  // transitively reaches Checkpoint()
 
-  bool returns_rank = false;  // return value is rank-derived
-  bool returns_wide = false;  // return value is 64-bit-sized
-
   // First site *within this function* that establishes the corresponding
   // bool fact: a direct call, or the call that reaches one (so a related
   // location always points one hop down the wrapper chain). 0 when unset.
   int collective_line = 0;
   std::string collective_name;  // method name of the first collective
-  int blocking_line = 0;
-  std::string blocking_name;
   int checkpoint_line = 0;
 
   // Parameter indices that flow (possibly through further wrappers) into
@@ -70,11 +66,11 @@ struct FunctionSummary {
 
   // Parameter indices that flow into the peer argument of a blocking
   // Send that has a matching Recv at or after it (the symmetric-exchange
-  // shape); send_line is the Send (or forwarding call) site.
+  // shape); exchange_line is the Send (or forwarding call) site.
   std::vector<int> peer_params;
-  int send_line = 0;
+  int exchange_line = 0;
 
-  // The ordered collective sequence every caller of this function
+  // The ordered collective sequence every path through this function
   // executes, when statically provable.
   bool sequence_known = true;
   std::vector<std::string> collective_seq;
@@ -110,18 +106,14 @@ class Program {
   /// when arity >= 0); -1 when absent.
   [[nodiscard]] int Find(const std::string& name, int arity = -1) const;
 
-  /// Indices transitively reachable from `fn` via call/containment
-  /// edges, excluding `fn` itself unless it sits on a cycle.
-  [[nodiscard]] std::vector<int> ReachableFrom(int fn) const;
-
-  [[nodiscard]] const TaintKnowledge& knowledge() const { return *know_; }
-
-  /// Collective sequence of a statement list with callee expansion;
-  /// nullopt when not statically provable (a collective under a loop, a
-  /// return statement, mismatched nested branch arms, recursion, or an
-  /// unknown callee sequence).
+  /// Collective sequence that every path through `stmts` executes, with
+  /// callee expansion; a `return` ends its path. nullopt when not
+  /// statically provable: paths that disagree, a collective under a loop,
+  /// or an unknown or ambiguous callee sequence. With `gate`, a step that
+  /// reaches Checkpoint() is unprovable too — the uniformity gate
+  /// LintProgram applies to whole function bodies.
   [[nodiscard]] std::optional<std::vector<std::string>> CollectiveSeqOf(
-      const std::vector<Stmt>& stmts) const;
+      const std::vector<Stmt>& stmts, bool gate = false) const;
 
   /// Any call in the subtree that is a collective or resolves to a
   /// collective-reaching function. Returns the first such site (call

@@ -1,19 +1,17 @@
 // pstk-lint: dataflow-based static analysis of benchmark/example sources
 // for cross-paradigm misuse — the static twin of the runtime verifier
-// (src/verify). Sources run through a five-stage pipeline:
+// (src/verify). Sources run through a four-stage pipeline:
 //
 //   token.h    C++-subset tokenizer (comment/string-literal aware)
 //   parse.h    structural parser: functions, loops, branches, pragmas,
 //              calls with argument text, lambdas lifted as functions
 //   dataflow.h per-function def-use: variable table, reaching writes,
 //              rank-derived / 64-bit-size value facts, branch context
-//   cfg.h      per-function control-flow graph with symbolic branch
-//              conditions; bounded path enumeration feeds the
-//              path-sensitive divergence gate and the deadlock detector
 //   callgraph.h whole-program layer: call graph, taint-knowledge
 //              fixpoint, bottom-up function summaries (transitive
 //              collective/blocking/checkpoint facts, count/peer params,
-//              provable collective sequences)
+//              the collective sequence every path executes — the same
+//              path-exact walk is the divergence rules' uniformity gate)
 //
 // All sources of one invocation are analyzed together (LintTree /
 // LintProgram), so the MPI rules see through wrapper functions — a
@@ -27,7 +25,8 @@
 //       the epoch can never commit
 //   mpi-blocking-symmetric-send — error — blocking Send to a rank-derived
 //       peer with a matching Recv after it; deadlocks at the rendezvous
-//       threshold
+//       threshold (silent when the per-rank simulation below proves the
+//       exchange drains)
 //   mpi-collective-in-divergent-branch — error — collective call (or
 //       early return) under a rank-derived condition: ranks disagree on
 //       the collective sequence (the call-order bug the runtime verifier
@@ -72,7 +71,6 @@
 #include <vector>
 
 #include "analysis/callgraph.h"
-#include "analysis/rewrite.h"
 #include "common/status.h"
 
 namespace pstk::analysis {
@@ -102,8 +100,6 @@ struct LintFinding {
   // finding points at ("" when the source text is unavailable). Baseline
   // entries carry it so suppressions survive unrelated edits above.
   std::string line_hash;
-  // Machine-applicable fix ([--fix]); empty for non-mechanical findings.
-  std::vector<TextEdit> edits;
 };
 
 /// Static metadata for one rule (drives --format=sarif and the report).
@@ -146,9 +142,6 @@ Severity WorstSeverity(const std::vector<LintFinding>& findings);
 /// Render findings as a Table III-style report (one row per finding plus
 /// a per-rule summary); "clean" when there are none.
 std::string RenderLintReport(const std::vector<LintFinding>& findings);
-
-/// Machine-readable JSON: an array of finding objects.
-std::string RenderJson(const std::vector<LintFinding>& findings);
 
 /// SARIF 2.1.0 (GitHub code-scanning upload format): one run, the rule
 /// registry as tool.driver.rules, one result per finding.

@@ -184,21 +184,12 @@ class Parser {
 
   // --- statements ----------------------------------------------------------
 
-  /// Line of the last token consumed before position `i` (0 at start).
-  [[nodiscard]] int LineBefore(std::size_t i) const {
-    if (i == 0 || t_.empty()) return 0;
-    return t_[std::min(i, t_.size()) - 1].line;
-  }
-
   std::vector<Stmt> ParseBlock(std::size_t i, std::size_t* end) {
     std::vector<Stmt> out;
     ++i;  // consume "{"
     while (!AtEnd(i) && !IsPunct(i, "}")) {
       const std::size_t before = i;
-      if (auto stmt = ParseStmt(&i)) {
-        stmt->end_line = LineBefore(i);
-        out.push_back(std::move(*stmt));
-      }
+      if (auto stmt = ParseStmt(&i)) out.push_back(std::move(*stmt));
       if (i == before) ++i;  // never wedge on unexpected tokens
     }
     *end = AtEnd(i) ? i : i + 1;
@@ -207,6 +198,8 @@ class Parser {
 
   std::optional<Stmt> ParseStmt(std::size_t* ip) {
     std::size_t i = *ip;
+    // An unterminated header (`if (` at the end of input) leaves no body.
+    if (AtEnd(i)) return std::nullopt;
     const Token& t = Tok(i);
     if (t.kind == TokKind::kPragma) {
       Stmt s;
@@ -404,10 +397,7 @@ class Parser {
       *out = ParseBlock(*ip, ip);
       return;
     }
-    if (auto stmt = ParseStmt(ip)) {
-      stmt->end_line = LineBefore(*ip);
-      out->push_back(std::move(*stmt));
-    }
+    if (auto stmt = ParseStmt(ip)) out->push_back(std::move(*stmt));
   }
 
   /// For-header induction variable: `int i = 0; ...` or `auto& x : range`.

@@ -58,9 +58,6 @@ struct Assign {
 struct Stmt {
   StmtKind kind = StmtKind::kPlain;
   int line = 0;
-  int end_line = 0;  // line of the statement's last token (closing brace
-                     // of a branch/loop body, the ';' of a plain stmt);
-                     // the rewriter's line-span edits depend on it
   std::string text;  // compact statement/condition/directive text
 
   std::vector<CallExpr> calls;  // calls in this statement (header for

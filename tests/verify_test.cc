@@ -744,9 +744,9 @@ TEST(LintTest, RenderReportCleanAndSummary) {
   EXPECT_EQ(analysis::RenderLintReport({}), "pstk-lint: clean (0 findings)\n");
   std::vector<analysis::LintFinding> findings{
       {"omp-shared-reduction", "a.cc", 4, "race",
-       analysis::Severity::kWarning, "", {}, "", {}},
+       analysis::Severity::kWarning, "", {}, ""},
       {"omp-shared-reduction", "b.cc", 9, "race",
-       analysis::Severity::kWarning, "", {}, "", {}},
+       analysis::Severity::kWarning, "", {}, ""},
   };
   const std::string report = analysis::RenderLintReport(findings);
   EXPECT_NE(report.find("2 finding(s)"), kNpos);
