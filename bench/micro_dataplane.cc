@@ -7,13 +7,14 @@
 // chain from buf::SnapshotStats().
 //
 // One chain is one DFS block's journey: block read, bucketing into R
-// shuffle slices, commit, reduce-side fetch of each bucket, concatenation
-// into the reduce partition, and a cache store; the partition is then
-// checksummed span-by-span (consumed, never flattened). The legacy mode
-// performs the same chain but materializes a fresh buffer at the hops
-// where the old plane copied: the block read, each bucket cut, each
-// fetch, the reduce-side concatenation, and the cache store. Both modes
-// must produce identical checksums — the bench CHECK-fails otherwise.
+// shuffle slices, commit, reduce-side fetch of each bucket, and a cache
+// store of the reduce partition as the fetched buckets, checksummed bucket
+// by bucket (consumed, never joined). The legacy mode performs the same
+// chain but materializes a fresh buffer at the hops where the old plane
+// copied: the block read, each bucket cut, each fetch, the join of the
+// fetched buckets into one partition buffer, and the cache store. Both
+// modes must produce identical checksums — the bench CHECK-fails
+// otherwise.
 //
 // Flags:
 //   --smoke            small sizes, for ctest
@@ -64,8 +65,7 @@ struct ChainResult {
 // through (a refcount bump at most); the legacy plane materializes a fresh
 // allocation, exactly what value-semantics buffers did at every hop.
 pstk::buf::Bytes Handoff(const pstk::buf::Bytes& b, bool legacy) {
-  if (!legacy) return b;
-  return b.flat() ? pstk::buf::Bytes::Copy(b.view()) : b.Flatten();
+  return legacy ? pstk::buf::Bytes::Copy(b.view()) : b;
 }
 
 ChainResult RunChain(const ChainConfig& config, bool legacy) {
@@ -114,9 +114,9 @@ ChainResult RunChain(const ChainConfig& config, bool legacy) {
       }
     }
 
-    // Reduce side: fetch bucket r of every map output, concatenate into
-    // the reduce partition, cache it, and consume span-by-span.
-    std::vector<pstk::buf::Bytes> cache;
+    // Reduce side: fetch bucket r of every map output, cache the reduce
+    // partition, and consume it bucket by bucket.
+    std::vector<std::vector<pstk::buf::Bytes>> cache;
     cache.reserve(R);
     std::uint64_t checksum = 0;
     for (std::size_t r = 0; r < R; ++r) {
@@ -125,14 +125,16 @@ ChainResult RunChain(const ChainConfig& config, bool legacy) {
       for (std::size_t m = 0; m < config.blocks; ++m) {
         fetched.push_back(Handoff(store[m][r], legacy));
       }
-      pstk::buf::Bytes part = pstk::buf::Bytes::Concat(fetched);
-      if (legacy) part = part.Flatten();
-      cache.push_back(Handoff(part, legacy));
-      cache.back().ForEachChunk([&checksum](std::string_view span) {
-        for (const char c : span) {
+      // The legacy plane joined the buckets into one partition buffer.
+      if (legacy) {
+        fetched = {Handoff(pstk::buf::Bytes::Concat(fetched), legacy)};
+      }
+      cache.push_back(std::move(fetched));
+      for (const pstk::buf::Bytes& bucket : cache.back()) {
+        for (const char c : bucket.view()) {
           checksum = checksum * 1099511628211ULL + static_cast<unsigned char>(c);
         }
-      });
+      }
     }
     out.checksum = checksum;
     out.elapsed_sim = ctx.now() - t0;

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "bench_opts.h"
+#include "buf/bytes.h"
 #include "ckpt/ckpt.h"
 #include "cluster/cluster.h"
 #include "common/config.h"
@@ -85,8 +86,10 @@ std::unique_ptr<Env> MakeEnv(double scale, const std::string& data,
     PSTK_CHECK(env->dfs->Install("/in/posts.txt", data).ok());
   }
   if (with_local) {
+    // Every node stages the same bytes: one shared copy, not one per node.
+    const buf::Bytes staged = buf::Bytes::Copy(data);
     for (int n = 0; n < kNodes; ++n) {
-      env->cluster->scratch(n).Install("/scratch/posts.txt", data);
+      env->cluster->scratch(n).Install("/scratch/posts.txt", staged);
     }
   }
   bench::Observability::Instance().Attach(env->engine);

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "bench_opts.h"
+#include "buf/bytes.h"
 #include "cluster/cluster.h"
 #include "common/config.h"
 #include "common/table.h"
@@ -62,8 +63,10 @@ SimTime SparkLocalRead(int nodes, int ppn, double scale,
                        const std::string& data) {
   sim::Engine engine;
   cluster::Cluster cluster(engine, cluster::ClusterSpec::Comet(nodes), scale);
+  // Every node stages the same bytes: one shared copy, not one per node.
+  const buf::Bytes staged = buf::Bytes::Copy(data);
   for (int n = 0; n < nodes; ++n) {
-    cluster.scratch(n).Install("/scratch/file.txt", data);
+    cluster.scratch(n).Install("/scratch/file.txt", staged);
   }
   spark::SparkOptions options;
   options.executors_per_node = ppn;
@@ -86,8 +89,10 @@ SimTime SparkLocalRead(int nodes, int ppn, double scale,
 SimTime MpiRead(int nodes, int ppn, double scale, const std::string& data) {
   sim::Engine engine;
   cluster::Cluster cluster(engine, cluster::ClusterSpec::Comet(nodes), scale);
+  // Every node stages the same bytes: one shared copy, not one per node.
+  const buf::Bytes staged = buf::Bytes::Copy(data);
   for (int n = 0; n < nodes; ++n) {
-    cluster.scratch(n).Install("/scratch/file.txt", data);
+    cluster.scratch(n).Install("/scratch/file.txt", staged);
   }
   mpi::World world(cluster, nodes * ppn, ppn);
   bench::Observability::Instance().Attach(engine);

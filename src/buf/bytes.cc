@@ -39,8 +39,8 @@ void CountCopy(std::size_t bytes) {
   s.copy_hist[BucketFor(bytes)].fetch_add(1, std::memory_order_relaxed);
 }
 
-void CountAlias(std::uint64_t spans) {
-  stats().chunks_aliased.fetch_add(spans, std::memory_order_relaxed);
+void CountAlias() {
+  stats().chunks_aliased.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -73,9 +73,7 @@ Bytes::Chunk::Chunk(std::vector<std::uint8_t> v)
 Bytes Bytes::FromChunk(ChunkRef chunk) {
   Bytes out;
   out.size_ = chunk->size;
-  if (out.size_ > 0) {
-    out.head_ = Span{std::move(chunk), 0, out.size_};
-  }
+  out.chunk_ = std::move(chunk);
   return out;
 }
 
@@ -96,146 +94,68 @@ Bytes Bytes::FromVector(std::vector<std::uint8_t>&& v) {
 }
 
 std::string_view Bytes::view() const {
-  PSTK_CHECK_MSG(flat(), "Bytes::view on a rope (" << chunk_count()
-                                                   << " chunks) — Flatten()");
-  return head_.chunk ? head_.View() : std::string_view{};
+  if (!chunk_) return {};
+  return {reinterpret_cast<const char*>(chunk_->data) + off_, size_};
 }
 
 const std::uint8_t* Bytes::data() const {
-  return reinterpret_cast<const std::uint8_t*>(view().data());
-}
-
-void Bytes::AppendSpan(const Span& span) {
-  if (span.len == 0) return;
-  Span* last = tail_.empty() ? (head_.chunk ? &head_ : nullptr)
-                             : &tail_.back();
-  // Coalesce: an adjacent slice of the same chunk extends the last span,
-  // keeping "concat of consecutive slices" flat.
-  if (last != nullptr && last->chunk == span.chunk &&
-      last->off + last->len == span.off) {
-    last->len += span.len;
-  } else if (last == nullptr) {
-    head_ = span;
-    CountAlias(1);
-  } else {
-    tail_.push_back(span);
-    CountAlias(1);
-  }
-  size_ += span.len;
+  return chunk_ ? chunk_->data + off_ : nullptr;
 }
 
 Bytes Bytes::Slice(std::size_t pos, std::size_t len) const {
   PSTK_CHECK_MSG(pos <= size_, "Bytes::Slice pos " << pos << " > size "
                                                    << size_);
   const std::size_t want = std::min(len, size_ - pos);
-  Bytes out;
-  if (want == 0) return out;
-  std::size_t skip = pos;
-  std::size_t need = want;
-  auto take = [&](const Span& s) {
-    if (need == 0) return;
-    if (skip >= s.len) {
-      skip -= s.len;
-      return;
-    }
-    const std::size_t n = std::min(need, s.len - skip);
-    out.AppendSpan(Span{s.chunk, s.off + skip, n});
-    skip = 0;
-    need -= n;
-  };
-  if (head_.chunk) take(head_);
-  for (const Span& s : tail_) take(s);
+  if (want == 0) return {};
+  CountAlias();
+  Bytes out = *this;
+  out.off_ += pos;
+  out.size_ = want;
   return out;
 }
 
 Bytes Bytes::Concat(const std::vector<Bytes>& parts) {
   Bytes out;
+  bool adjacent = true;
+  std::size_t total = 0;
   for (const Bytes& part : parts) {
-    if (part.head_.chunk) out.AppendSpan(part.head_);
-    for (const Span& s : part.tail_) out.AppendSpan(s);
+    if (part.empty()) continue;
+    total += part.size_;
+    if (out.empty()) {
+      out = part;
+    } else if (adjacent && part.chunk_ == out.chunk_ &&
+               part.off_ == out.off_ + out.size_) {
+      out.size_ += part.size_;
+    } else {
+      adjacent = false;
+    }
   }
-  return out;
-}
-
-Bytes Bytes::Flatten() const {
-  if (flat()) {
-    CountAlias(head_.chunk ? 1 : 0);
-    return *this;
+  if (adjacent) {
+    if (!out.empty()) CountAlias();
+    return out;
   }
-  // Assemble directly into the new chunk's storage: one copy, counted once
-  // (Copy(ToString()) would materialize twice).
-  std::string out;
-  out.reserve(size_);
-  ForEachChunk([&](std::string_view v) { out.append(v); });
-  CountCopy(out.size());
-  return FromString(std::move(out));
+  std::string joined;
+  joined.reserve(total);
+  for (const Bytes& part : parts) joined.append(part.view());
+  CountCopy(total);
+  return FromString(std::move(joined));
 }
 
 std::string Bytes::ToString() const {
   if (empty()) return {};
-  if (flat()) {
-    const std::string_view v = view();
-    CountCopy(v.size());
-    return std::string(v);
-  }
-  std::string out;
-  out.reserve(size_);
-  ForEachChunk([&](std::string_view v) { out.append(v); });
-  CountCopy(out.size());
-  return out;
+  CountCopy(size_);
+  return std::string(view());
 }
 
 void Bytes::CopyTo(void* out) const {
-  auto* p = static_cast<std::uint8_t*>(out);
-  ForEachChunk([&](std::string_view v) {
-    std::memcpy(p, v.data(), v.size());
-    p += v.size();
-  });
+  if (!empty()) std::memcpy(out, data(), size_);
   CountCopy(size_);
 }
 
-bool Bytes::Equals(std::string_view other) const {
-  if (size_ != other.size()) return false;
-  std::size_t pos = 0;
-  bool eq = true;
-  ForEachChunk([&](std::string_view v) {
-    if (eq && other.compare(pos, v.size(), v) != 0) eq = false;
-    pos += v.size();
-  });
-  return eq;
-}
+bool Bytes::Equals(std::string_view other) const { return view() == other; }
 
 bool operator==(const Bytes& a, const Bytes& b) {
-  if (a.size_ != b.size_) return false;
-  if (a.flat()) return b.Equals(a.view());
-  if (b.flat()) return a.Equals(b.view());
-  return a.ToString() == b.ToString();  // rope-vs-rope: rare, correctness-only
-}
-
-void Builder::FlushPending() {
-  if (pending_.empty()) return;
-  CountCopy(pending_.size());
-  parts_.push_back(Bytes::FromString(std::move(pending_)));
-  pending_.clear();
-}
-
-void Builder::Append(std::string_view data) {
-  pending_.append(data);
-  size_ += data.size();
-}
-
-void Builder::Append(Bytes bytes) {
-  size_ += bytes.size();
-  FlushPending();
-  parts_.push_back(std::move(bytes));
-}
-
-Bytes Builder::Build() {
-  FlushPending();
-  Bytes out = Bytes::Concat(parts_);
-  parts_.clear();
-  size_ = 0;
-  return out;
+  return a.view() == b.view();
 }
 
 }  // namespace pstk::buf

@@ -1,23 +1,22 @@
 // Immutable, refcounted byte buffers — the zero-copy currency of the data
 // plane (DFS blocks, shuffle buckets, network payloads, cached partitions).
 //
-// A `Bytes` is a cheap value type over shared, immutable chunks:
+// A `Bytes` is a cheap value type: one span (offset + size) over a shared,
+// immutable chunk.
 //
 //  * `Slice()` aliases the same storage (a refcount bump, no copy), so a
 //    DFS block, the cached RDD partition built from it, and the shuffle
 //    bucket shipped from it can all share one allocation;
-//  * `Concat()` is rope-style: it stitches spans without copying, and
-//    coalesces adjacent slices of the same chunk back into one flat span
-//    (reading all blocks of one installed file yields a flat view again);
+//  * `Concat()` joins adjacent slices of one chunk into an alias of that
+//    chunk (reading all blocks of one installed file yields the file
+//    without a copy); any other concatenation is one counted copy;
 //  * `FromString`/`FromVector` take ownership of an existing allocation
 //    (the serde `Writer` hands its buffer over this way — see
 //    `Writer::TakeBytes`), `Copy` is the one-allocation deep copy.
 //
 // Immutability + refcounting is all the lifetime machinery the simulator
-// needs: simulated processes are cooperatively scheduled fibers (or
-// lockstep threads), so chunk payloads are never mutated after creation
-// and the shared_ptr control block makes a release from another host
-// thread (a thread-backend process) safe.
+// needs: simulated processes are cooperatively scheduled fibers, and chunk
+// payloads are never mutated after creation.
 //
 // Every deep copy the data plane still performs is counted in a
 // process-global `Stats` (chunks allocated/aliased, bytes copied, and a
@@ -66,41 +65,23 @@ class Bytes {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  /// Number of distinct spans (1 for flat non-empty, 0 for empty).
-  [[nodiscard]] std::size_t chunk_count() const {
-    return (head_.chunk ? 1 : 0) + tail_.size();
-  }
-  /// True when the bytes are one contiguous run (or empty).
-  [[nodiscard]] bool flat() const { return tail_.empty(); }
 
-  /// Contiguous view. CHECK-fails on a rope — call Flatten() first.
+  /// Contiguous view of the bytes.
   [[nodiscard]] std::string_view view() const;
   [[nodiscard]] const std::uint8_t* data() const;
 
   /// Zero-copy sub-range [pos, pos+len): the result aliases this buffer's
-  /// chunks. `len == npos` means "to the end".
+  /// chunk. `len == npos` means "to the end".
   [[nodiscard]] Bytes Slice(std::size_t pos, std::size_t len = npos) const;
 
-  /// Rope-style concatenation: no payload copy. Adjacent spans over the
-  /// same chunk coalesce, so concatenating consecutive slices of one chunk
-  /// yields a flat result.
+  /// Join `parts` in order. Adjacent slices of one chunk join into an alias
+  /// of it (no copy); any other mix is one counted copy into a fresh chunk.
   [[nodiscard]] static Bytes Concat(const std::vector<Bytes>& parts);
-
-  /// Flat alias if already flat; otherwise one fresh contiguous chunk
-  /// (a counted copy).
-  [[nodiscard]] Bytes Flatten() const;
 
   /// Materialize a std::string (always a counted copy).
   [[nodiscard]] std::string ToString() const;
   /// Copy all bytes to `out` (caller guarantees room; counted).
   void CopyTo(void* out) const;
-
-  /// Visit each contiguous span in order.
-  template <typename Fn>
-  void ForEachChunk(Fn&& fn) const {
-    if (head_.chunk) fn(head_.View());
-    for (const Span& s : tail_) fn(s.View());
-  }
 
   [[nodiscard]] bool Equals(std::string_view other) const;
   friend bool operator==(const Bytes& a, const Bytes& b);
@@ -125,40 +106,11 @@ class Bytes {
   };
   using ChunkRef = std::shared_ptr<const Chunk>;
 
-  struct Span {
-    ChunkRef chunk;
-    std::size_t off = 0;
-    std::size_t len = 0;
-    [[nodiscard]] std::string_view View() const {
-      return {reinterpret_cast<const char*>(chunk->data) + off, len};
-    }
-  };
-
   static Bytes FromChunk(ChunkRef chunk);
-  void AppendSpan(const Span& span);
 
-  // Single-span fast path: `head_` holds flat buffers entirely; `tail_`
-  // carries the remaining spans of a rope.
-  Span head_;
-  std::vector<Span> tail_;
-  std::size_t size_ = 0;
-};
-
-/// Incremental zero-copy assembly: `Append(Bytes)` splices without copying,
-/// `Append(string_view)` accumulates into a pending chunk (one counted copy
-/// per flush, not per call). `Build()` yields the concatenation.
-class Builder {
- public:
-  void Append(std::string_view data);
-  void Append(Bytes bytes);
-  [[nodiscard]] std::size_t size() const { return size_; }
-  /// Finish and reset the builder.
-  [[nodiscard]] Bytes Build();
-
- private:
-  void FlushPending();
-  std::string pending_;
-  std::vector<Bytes> parts_;
+  // Empty buffers hold no chunk.
+  ChunkRef chunk_;
+  std::size_t off_ = 0;
   std::size_t size_ = 0;
 };
 

@@ -94,9 +94,6 @@ void Cluster::RestoreNode(int node, SimTime t) {
     disks_[node]->set_failed(false);
     PSTK_INFO("cluster") << spec_.name << ": node " << node
                          << " restored at t=" << engine_.now();
-    for (const NodeEventCallback& callback : on_restore_) {
-      callback(node, engine_.now());
-    }
   });
 }
 
@@ -157,10 +154,6 @@ int Cluster::UsedCores() const {
 
 void Cluster::SubscribeNodeFailure(NodeEventCallback callback) {
   on_failure_.push_back(std::move(callback));
-}
-
-void Cluster::SubscribeNodeRestore(NodeEventCallback callback) {
-  on_restore_.push_back(std::move(callback));
 }
 
 }  // namespace pstk::cluster

@@ -89,13 +89,12 @@ class Cluster {
   /// events, the matching repairs).
   void ApplyFaultPlan(const sim::FaultPlan& plan);
 
-  /// Subscribe to node state changes; callbacks fire inside the scheduled
-  /// fail/restore event, after the cluster state flipped. MiniDFS uses the
-  /// failure hook for re-replication; ckpt::RestartManager uses it to drop
-  /// snapshot copies hosted on the lost node.
+  /// Subscribe to node failures; callbacks fire inside the scheduled fail
+  /// event, after the cluster state flipped. MiniDFS uses it for
+  /// re-replication; ckpt::RestartManager uses it to drop snapshot copies
+  /// hosted on the lost node.
   using NodeEventCallback = std::function<void(int node, SimTime t)>;
   void SubscribeNodeFailure(NodeEventCallback callback);
-  void SubscribeNodeRestore(NodeEventCallback callback);
 
   // --- Core occupancy -------------------------------------------------------
   // Nodes are allocatable at per-core granularity so several jobs can share a
@@ -133,7 +132,6 @@ class Cluster {
   std::vector<bool> failed_;
   std::uint64_t node_failures_ = 0;
   std::vector<NodeEventCallback> on_failure_;
-  std::vector<NodeEventCallback> on_restore_;
   std::vector<int> used_cores_;                    // per node
   std::map<std::pair<int, int>, int> held_cores_;  // (owner, node) -> count
 };

@@ -23,10 +23,6 @@ void Config::Set(const std::string& key, std::string value) {
   entries_[key] = std::move(value);
 }
 
-bool Config::Has(const std::string& key) const {
-  return entries_.count(key) > 0;
-}
-
 std::string Config::GetString(const std::string& key,
                               const std::string& fallback) const {
   auto it = entries_.find(key);

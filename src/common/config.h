@@ -18,7 +18,6 @@ class Config {
   static Result<Config> FromArgs(int argc, const char* const* argv);
 
   void Set(const std::string& key, std::string value);
-  [[nodiscard]] bool Has(const std::string& key) const;
 
   [[nodiscard]] std::string GetString(const std::string& key,
                                       const std::string& fallback) const;

@@ -100,7 +100,6 @@ std::vector<buf::Bytes> MiniDfs::SplitBlocks(const buf::Bytes& content) const {
 Status MiniDfs::Install(const std::string& path, buf::Bytes content,
                         std::uint64_t placement_seed) {
   if (files_.count(path) > 0) return AlreadyExists("file exists: " + path);
-  if (!content.flat()) content = content.Flatten();
   Rng rng(placement_seed == 0 ? placement_rng_.Next() : placement_seed);
 
   FileInfo file;
@@ -133,7 +132,6 @@ Status MiniDfs::Install(const std::string& path, std::string_view content,
 Status MiniDfs::Write(sim::Context& ctx, int writer_node,
                       const std::string& path, buf::Bytes content) {
   if (files_.count(path) > 0) return AlreadyExists("file exists: " + path);
-  if (!content.flat()) content = content.Flatten();
   ChargeNamenode(ctx);
 
   FileInfo file;
@@ -251,8 +249,8 @@ Result<buf::Bytes> MiniDfs::ReadAll(sim::Context& ctx, int reader_node,
     if (!block.ok()) return block.status();
     pieces.push_back(block.value()->content);
   }
-  // Adjacent slices of one installed file coalesce back into a flat view:
-  // a whole-file read is a zero-copy alias of the installed content.
+  // The blocks are adjacent slices of one installed chunk, so they join
+  // into a zero-copy alias of the whole file.
   return buf::Bytes::Concat(pieces);
 }
 

@@ -92,9 +92,8 @@ class MiniDfs {
                                const std::string& path,
                                std::size_t block_index);
 
-  /// Read a whole file (concatenated blocks). Because blocks are slices of
-  /// the installed file's single chunk, the result is a flat zero-copy
-  /// alias of the whole file whenever the file was written in one piece.
+  /// Read a whole file (concatenated blocks). Blocks are adjacent slices
+  /// of the file's single chunk, so the result is a zero-copy alias of it.
   Result<buf::Bytes> ReadAll(sim::Context& ctx, int reader_node,
                              const std::string& path);
 

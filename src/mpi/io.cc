@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string_view>
 
 #include "common/check.h"
 #include "mpi/mpi.h"
@@ -91,36 +90,18 @@ Result<std::string> File::ReadLinesAtAll(Comm& comm, Bytes modeled_offset,
 
   const double scale = static_cast<double>(actual_size_) /
                        static_cast<double>(std::max<Bytes>(1, modeled_size_));
-  auto a_begin = static_cast<std::size_t>(
+  const auto a_begin = static_cast<std::size_t>(
       std::llround(static_cast<double>(modeled_offset) * scale));
-  auto a_end = static_cast<std::size_t>(std::llround(
+  const auto a_end = static_cast<std::size_t>(std::llround(
       static_cast<double>(modeled_offset + modeled_len) * scale));
 
+  // A chunk owns the lines that *start* inside it.
   storage::LocalFs& fs = comm.cluster().scratch(comm.node());
-  const buf::Bytes* file = fs.Peek(path_);
-  if (file == nullptr) return NotFound("MPI-IO: lost replica of " + path_);
-  const std::string_view content = file->view();
-  a_begin = std::min(a_begin, content.size());
-  a_end = std::min(a_end, content.size());
-
-  // A chunk owns the lines that *start* inside it: skip the line crossing
-  // our lower boundary, extend through the line crossing the upper one.
-  std::size_t real_begin = a_begin;
-  if (real_begin > 0 && content[real_begin - 1] != '\n') {
-    const auto nl = content.find('\n', real_begin);
-    real_begin = nl == std::string_view::npos ? content.size() : nl + 1;
-  }
-  std::size_t real_end = a_end;
-  if (real_end > 0 && real_end < content.size() &&
-      content[real_end - 1] != '\n') {
-    const auto nl = content.find('\n', real_end);
-    real_end = nl == std::string_view::npos ? content.size() : nl + 1;
-  }
-  if (real_end < real_begin) real_end = real_begin;
-
-  auto data = fs.Read(comm.ctx(), path_, real_begin, real_end - real_begin);
+  if (!fs.Exists(path_)) return NotFound("MPI-IO: lost replica of " + path_);
+  auto lines = fs.ReadLines(comm.ctx(), path_, a_begin, a_end - a_begin);
   comm.Barrier();
-  return data;
+  if (!lines.ok()) return lines.status();
+  return lines.value().ToString();
 }
 
 Result<std::string> File::ReadAtAll(Comm& comm, Bytes modeled_offset,

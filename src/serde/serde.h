@@ -76,12 +76,10 @@ class Reader {
       : data_(data), size_(size) {}
   explicit Reader(const Buffer& buffer)
       : Reader(buffer.data(), buffer.size()) {}
-  /// Zero-copy decode straight out of an immutable buffer. The buffer must
-  /// be flat (every serde producer emits flat Bytes) and must outlive the
-  /// reader.
+  /// Zero-copy decode straight out of an immutable buffer, which must
+  /// outlive the reader.
   explicit Reader(const buf::Bytes& bytes)
-      : Reader(reinterpret_cast<const std::uint8_t*>(bytes.view().data()),
-               bytes.size()) {}
+      : Reader(bytes.data(), bytes.size()) {}
 
   [[nodiscard]] bool AtEnd() const { return pos_ == size_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
@@ -338,7 +336,7 @@ buf::Bytes EncodeToBytes(const T& value) {
   return w.TakeBytes();
 }
 
-/// Decode straight out of an immutable (flat) buffer — no copy.
+/// Decode straight out of an immutable buffer — no copy.
 template <typename T>
 Result<T> DecodeFromBytes(const buf::Bytes& bytes) {
   Reader r(bytes);

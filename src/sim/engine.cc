@@ -218,18 +218,6 @@ bool Engine::IsAlive(Pid pid) const {
   return s != ProcState::kDone && s != ProcState::kKilled;
 }
 
-std::string Engine::DescribeBlocked() const {
-  std::ostringstream oss;
-  for (Pid pid = 0; pid < procs_.size(); ++pid) {
-    const Proc& p = *procs_[pid];
-    if (p.state == ProcState::kBlocked) {
-      oss << "  " << p.name << " (pid " << pid << ", t=" << p.clock
-          << "): " << p.wait_reason << "\n";
-    }
-  }
-  return oss.str();
-}
-
 namespace {
 // "mpi-rank-3" -> "mpi"; "shmem-pe-0" -> "shmem"; "driver" -> "driver".
 std::string FrameworkOf(const std::string& name) {

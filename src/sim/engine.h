@@ -221,9 +221,6 @@ class Engine {
   /// Turn the instrumentation bus on (spans, histograms, user traces).
   void EnableTrace(bool on);
 
-  /// Blocked-process snapshot, for deadlock diagnostics.
-  [[nodiscard]] std::string DescribeBlocked() const;
-
   /// Structured deadlock diagnosis: the wait-for graph (process → wait
   /// reason → holding process), every cycle in it, and per-framework
   /// blame (grouped by process-name prefix). Used by Run() when blocked

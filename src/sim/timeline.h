@@ -32,8 +32,6 @@ class Timeline {
   [[nodiscard]] SimTime busy_time() const { return busy_; }
   [[nodiscard]] std::uint64_t op_count() const { return ops_; }
 
-  void Reset() { *this = Timeline(); }
-
  private:
   SimTime next_free_ = 0;
   SimTime busy_ = 0;

@@ -22,39 +22,31 @@ struct TaskHeader {
   std::int32_t partition = 0;
 };
 
-// Task messages carry a fixed 12-byte header (task_set, partition).
+// Task messages start with a fixed 12-byte header (task_set, partition).
 constexpr std::size_t kTaskHeaderBytes = 12;
+
+void WriteHeader(serde::Writer& w, std::uint64_t task_set, int partition) {
+  w.WriteRaw<std::uint64_t>(task_set);
+  w.WriteRaw<std::int32_t>(partition);
+}
 
 buf::Bytes EncodeTask(std::uint64_t task_set, int partition) {
   serde::Writer w;
   w.Reserve(kTaskHeaderBytes);
-  w.WriteRaw<std::uint64_t>(task_set);
-  w.WriteRaw<std::int32_t>(partition);
+  WriteHeader(w, task_set, partition);
   return w.TakeBytes();
-}
-
-buf::Bytes EncodeTaskDone(std::uint64_t task_set, int partition,
-                          buf::Bytes result) {
-  serde::Writer w;
-  w.Reserve(kTaskHeaderBytes);
-  w.WriteRaw<std::uint64_t>(task_set);
-  w.WriteRaw<std::int32_t>(partition);
-  // Rope-concat: the task result rides along without being copied.
-  return buf::Bytes::Concat({w.TakeBytes(), std::move(result)});
 }
 
 buf::Bytes EncodeTaskFail(std::uint64_t task_set, int partition,
                           int shuffle_id) {
   serde::Writer w;
   w.Reserve(kTaskHeaderBytes + 4);
-  w.WriteRaw<std::uint64_t>(task_set);
-  w.WriteRaw<std::int32_t>(partition);
+  WriteHeader(w, task_set, partition);
   w.WriteRaw<std::int32_t>(shuffle_id);
   return w.TakeBytes();
 }
 
-/// Decode the header of a (possibly rope) task message: the header slice
-/// is always flat because every encoder writes it as one chunk.
+/// Decode the header every task message starts with.
 TaskHeader DecodeHeader(const buf::Bytes& payload) {
   // The slice is a temporary, but the chunk it points into is owned by
   // `payload`, so the reader's view stays valid.
@@ -277,29 +269,9 @@ Result<buf::Bytes> TaskRt::ReadDfsBlock(const std::string& path,
   return app_.dfs->ReadBlock(ctx_, node_, path, block);
 }
 
-Result<buf::Bytes> TaskRt::ReadLocalRange(const std::string& path,
-                                          Bytes offset, Bytes length) {
-  return app_.cluster->scratch(node_).ReadBytes(ctx_, path, offset, length);
-}
-
 Result<buf::Bytes> TaskRt::ReadLocalLines(const std::string& path,
                                           Bytes offset, Bytes length) {
-  storage::LocalFs& fs = app_.cluster->scratch(node_);
-  const buf::Bytes* file = fs.Peek(path);
-  if (file == nullptr) return NotFound("no such file: " + path);
-  const std::string_view content = file->view();
-  std::size_t begin = std::min<std::size_t>(offset, content.size());
-  std::size_t end = std::min<std::size_t>(offset + length, content.size());
-  if (begin > 0 && content[begin - 1] != '\n') {
-    const auto nl = content.find('\n', begin);
-    begin = nl == std::string_view::npos ? content.size() : nl + 1;
-  }
-  if (end > 0 && end < content.size() && content[end - 1] != '\n') {
-    const auto nl = content.find('\n', end);
-    end = nl == std::string_view::npos ? content.size() : nl + 1;
-  }
-  if (end < begin) end = begin;
-  return fs.ReadBytes(ctx_, path, begin, end - begin);
+  return app_.cluster->scratch(node_).ReadLines(ctx_, path, offset, length);
 }
 
 // ===========================================================================
@@ -394,7 +366,7 @@ void SparkContext::SweepExecutors() {
 
 SparkContext::TaskSetOutcome SparkContext::RunTaskSet(
     RddBase& locality_rdd, const std::vector<int>& partitions,
-    const std::function<buf::Bytes(TaskRt&, int)>& closure,
+    const TaskClosure& closure,
     std::map<int, buf::Bytes>* results) {
   TaskSetOutcome outcome;
   if (partitions.empty()) return outcome;
@@ -530,7 +502,7 @@ SparkContext::TaskSetOutcome SparkContext::RunTaskSet(
 
 Result<std::vector<buf::Bytes>> SparkContext::RunJob(
     std::shared_ptr<RddBase> final_rdd,
-    std::function<buf::Bytes(TaskRt&, int)> result_closure) {
+    TaskClosure result_closure) {
   sim::Scope job_scope(ctx_, app_.obs_tags.job);
   ctx_.Compute(app_.options.driver_per_job);
   ++app_.stats.jobs;
@@ -567,10 +539,10 @@ Result<std::vector<buf::Bytes>> SparkContext::RunJob(
                                    });
       const std::vector<int> missing =
           app_.shuffle_store.MissingMaps(next->shuffle_id());
-      auto map_closure = [dep_ptr](TaskRt& rt, int p) -> buf::Bytes {
+      auto map_closure = [dep_ptr](TaskRt& rt, int p, serde::Writer& out) {
         auto buckets = dep_ptr->RunMapTask(rt, p);
         rt.CommitShuffleOutput(dep_ptr->shuffle_id(), p, std::move(buckets));
-        return serde::EncodeToBytes<std::uint8_t>(1);
+        serde::Encode<std::uint8_t>(out, 1);
       };
       TaskSetOutcome outcome =
           RunTaskSet(next->parent(), missing, map_closure, nullptr);
@@ -773,11 +745,15 @@ void MiniSpark::ExecutorMain(sim::Context& ctx, int executor_id) {
     sim::Scope task_scope(ctx, app_->obs_tags.task);
     TaskRt rt(*app_, ctx, executor_id, node);
     try {
-      buf::Bytes result = closure->second(rt, header.partition);
-      const Bytes modeled = app_->Modeled(result.size()) + kKiB;
-      ep.SendAsync(ctx, app_->driver_endpoint, kTagTaskDone,
-                   EncodeTaskDone(header.task_set, header.partition,
-                                  std::move(result)),
+      // The result is encoded right after the header, so the completion
+      // message is one chunk.
+      serde::Writer done;
+      done.Reserve(kTaskHeaderBytes);
+      WriteHeader(done, header.task_set, header.partition);
+      closure->second(rt, header.partition, done);
+      const Bytes modeled =
+          app_->Modeled(done.size() - kTaskHeaderBytes) + kKiB;
+      ep.SendAsync(ctx, app_->driver_endpoint, kTagTaskDone, done.TakeBytes(),
                    modeled);
     } catch (const FetchFailed& failed) {
       ep.SendAsync(ctx, app_->driver_endpoint, kTagTaskFail,

@@ -78,6 +78,10 @@ struct SparkObsTags {
   obs::TagId recovery_executors_reacquired = obs::kNoTag;
 };
 
+/// A task body: computes partition `p` on an executor and encodes its
+/// result into `out`, right after the task header the executor wrote.
+using TaskClosure = std::function<void(TaskRt&, int, serde::Writer&)>;
+
 /// Engine-global application state shared by driver and executors.
 struct AppState {
   SparkOptions options;
@@ -95,7 +99,7 @@ struct AppState {
   /// MiniSpark::Submit when SparkOptions::reacquire_executors is set.
   std::function<void(ExecutorInfo&)> respawn_executor;
   int driver_endpoint = 0;
-  std::map<std::uint64_t, std::function<buf::Bytes(TaskRt&, int)>> closures;
+  std::map<std::uint64_t, TaskClosure> closures;
   std::uint64_t next_task_set = 1;
   int next_rdd_id = 0;
   int next_shuffle_id = 0;
@@ -149,9 +153,8 @@ class SparkContext {
   /// `final_rdd` (parent shuffle stages first), with lineage-based retry
   /// on executor loss. Returns per-partition serialized results (each a
   /// zero-copy slice of the executor's completion message).
-  Result<std::vector<buf::Bytes>> RunJob(
-      std::shared_ptr<RddBase> final_rdd,
-      std::function<buf::Bytes(TaskRt&, int)> result_closure);
+  Result<std::vector<buf::Bytes>> RunJob(std::shared_ptr<RddBase> final_rdd,
+                                         TaskClosure result_closure);
 
   void Unpersist(int rdd_id) { app_.block_store->DropRdd(rdd_id); }
 
@@ -162,8 +165,7 @@ class SparkContext {
   };
   TaskSetOutcome RunTaskSet(RddBase& locality_rdd,
                             const std::vector<int>& partitions,
-                            const std::function<buf::Bytes(TaskRt&, int)>&
-                                closure,
+                            const TaskClosure& closure,
                             std::map<int, buf::Bytes>* results);
   std::vector<int> PreferredExecutors(RddBase& rdd, int p) const;
   void SweepExecutors();
@@ -248,10 +250,10 @@ class Rdd {
 
   Result<std::vector<T>> Collect() const {
     auto node = node_;
-    auto buffers = sc_->RunJob(node, [node](TaskRt& rt, int p) {
-      auto part = rt.EvaluateTyped<T>(*node, p);
-      return serde::EncodeToBytes(*part);
-    });
+    auto buffers =
+        sc_->RunJob(node, [node](TaskRt& rt, int p, serde::Writer& out) {
+          serde::Encode(out, *rt.EvaluateTyped<T>(*node, p));
+        });
     if (!buffers.ok()) return buffers.status();
     std::vector<T> out;
     for (const buf::Bytes& buffer : buffers.value()) {
@@ -264,10 +266,11 @@ class Rdd {
 
   Result<std::int64_t> Count() const {
     auto node = node_;
-    auto buffers = sc_->RunJob(node, [node](TaskRt& rt, int p) {
-      auto part = rt.EvaluateTyped<T>(*node, p);
-      return serde::EncodeToBytes<std::uint64_t>(part->size());
-    });
+    auto buffers =
+        sc_->RunJob(node, [node](TaskRt& rt, int p, serde::Writer& out) {
+          auto part = rt.EvaluateTyped<T>(*node, p);
+          serde::Encode<std::uint64_t>(out, part->size());
+        });
     if (!buffers.ok()) return buffers.status();
     std::int64_t total = 0;
     for (const buf::Bytes& buffer : buffers.value()) {
@@ -281,7 +284,8 @@ class Rdd {
   /// rdd.reduce(f): executor-side partial fold, driver-side final fold.
   Result<T> Reduce(std::function<T(const T&, const T&)> fn) const {
     auto node = node_;
-    auto buffers = sc_->RunJob(node, [node, fn](TaskRt& rt, int p) {
+    auto buffers = sc_->RunJob(node, [node, fn](TaskRt& rt, int p,
+                                               serde::Writer& out) {
       auto part = rt.EvaluateTyped<T>(*node, p);
       std::vector<T> partial;
       if (!part->empty()) {
@@ -292,7 +296,7 @@ class Rdd {
         partial.push_back(std::move(acc));
       }
       rt.ChargeRecords(part->size(), 0);
-      return serde::EncodeToBytes(partial);
+      serde::Encode(out, partial);
     });
     if (!buffers.ok()) return buffers.status();
     std::optional<T> acc;

@@ -64,15 +64,9 @@ class TaskRt {
   /// aliases the stored block — no payload copy.
   Result<buf::Bytes> ReadDfsBlock(const std::string& path, std::size_t block);
 
-  /// Read an actual-byte range of a file on this node's local scratch.
-  /// The result aliases the stored file — no payload copy.
-  Result<buf::Bytes> ReadLocalRange(const std::string& path, Bytes offset,
-                                    Bytes length);
-
-  /// Read exactly the whole lines *starting* inside [offset, offset+length)
-  /// of a local file (Hadoop LineRecordReader semantics, boundary-exact —
-  /// no lookahead waste). Ranges tiling the file yield each line once.
-  /// The result aliases the stored file — no payload copy.
+  /// Read the whole lines *starting* inside [offset, offset+length) of a
+  /// file on this node's local scratch (storage::LocalFs::ReadLines). The
+  /// result aliases the stored file — no payload copy.
   Result<buf::Bytes> ReadLocalLines(const std::string& path, Bytes offset,
                                     Bytes length);
 

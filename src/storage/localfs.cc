@@ -13,8 +13,12 @@ LocalFs::LocalFs(std::shared_ptr<Disk> disk, double data_scale)
                  "data_scale must be in (0, 1], got " << data_scale_);
 }
 
+void LocalFs::Install(const std::string& path, buf::Bytes content) {
+  files_[path] = std::move(content);
+}
+
 void LocalFs::Install(const std::string& path, std::string content) {
-  files_[path] = buf::Bytes::FromString(std::move(content));
+  Install(path, buf::Bytes::FromString(std::move(content)));
 }
 
 Status LocalFs::Write(sim::Context& ctx, const std::string& path,
@@ -56,6 +60,26 @@ Result<buf::Bytes> LocalFs::ReadBytes(sim::Context& ctx,
   return data.Slice(offset, n);
 }
 
+Result<buf::Bytes> LocalFs::ReadLines(sim::Context& ctx,
+                                      const std::string& path, Bytes offset,
+                                      Bytes length) {
+  auto it = files_.find(path);
+  if (it == files_.end()) return NotFound("no such file: " + path);
+  const std::string_view content = it->second.view();
+  std::size_t begin = std::min<std::size_t>(offset, content.size());
+  std::size_t end = std::min<std::size_t>(offset + length, content.size());
+  if (begin > 0 && content[begin - 1] != '\n') {
+    const auto nl = content.find('\n', begin);
+    begin = nl == std::string_view::npos ? content.size() : nl + 1;
+  }
+  if (end > 0 && end < content.size() && content[end - 1] != '\n') {
+    const auto nl = content.find('\n', end);
+    end = nl == std::string_view::npos ? content.size() : nl + 1;
+  }
+  if (end < begin) end = begin;
+  return ReadBytes(ctx, path, begin, end - begin);
+}
+
 Result<std::string> LocalFs::Read(sim::Context& ctx, const std::string& path,
                                   Bytes offset, Bytes length) {
   auto bytes = ReadBytes(ctx, path, offset, length);
@@ -68,11 +92,6 @@ Result<std::string> LocalFs::ReadAll(sim::Context& ctx,
   auto size = Size(path);
   if (!size.ok()) return size.status();
   return Read(ctx, path, 0, size.value());
-}
-
-const buf::Bytes* LocalFs::Peek(const std::string& path) const {
-  auto it = files_.find(path);
-  return it == files_.end() ? nullptr : &it->second;
 }
 
 bool LocalFs::Exists(const std::string& path) const {

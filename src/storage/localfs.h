@@ -26,6 +26,8 @@ class LocalFs {
 
   /// Stage a file instantaneously (no simulated I/O) — used to pre-load
   /// benchmark inputs that "were already on disk" before the job starts.
+  /// Nodes staging the same input can share one `content` (no copy).
+  void Install(const std::string& path, buf::Bytes content);
   void Install(const std::string& path, std::string content);
 
   /// Create/overwrite a file, charging write time on the node's disk.
@@ -41,15 +43,17 @@ class LocalFs {
   /// writes/deletes of the path.
   Result<buf::Bytes> ReadBytes(sim::Context& ctx, const std::string& path,
                                Bytes offset, Bytes length);
+  /// Read exactly the whole lines *starting* inside [offset, offset+length)
+  /// (Hadoop LineRecordReader semantics): skip the line crossing the lower
+  /// boundary, extend through the line crossing the upper one. Ranges that
+  /// tile the file yield each line once. Charges read time for the bytes
+  /// returned, which alias the stored file.
+  Result<buf::Bytes> ReadLines(sim::Context& ctx, const std::string& path,
+                               Bytes offset, Bytes length);
   /// Materializing convenience wrappers over ReadBytes (one counted copy).
   Result<std::string> Read(sim::Context& ctx, const std::string& path,
                            Bytes offset, Bytes length);
   Result<std::string> ReadAll(sim::Context& ctx, const std::string& path);
-
-  /// Zero-cost handle to the stored bytes (no simulated I/O charged) for
-  /// record readers that must inspect boundaries before issuing the real
-  /// (charged) read. Returns nullptr if the file does not exist.
-  [[nodiscard]] const buf::Bytes* Peek(const std::string& path) const;
 
   [[nodiscard]] bool Exists(const std::string& path) const;
   /// Actual stored size in bytes.
@@ -69,7 +73,7 @@ class LocalFs {
  private:
   std::shared_ptr<Disk> disk_;
   double data_scale_;
-  /// Each file is one flat immutable chunk; writes replace the chunk, so
+  /// Each file is one immutable chunk; writes replace the chunk, so
   /// outstanding read aliases keep seeing the bytes they were given.
   std::map<std::string, buf::Bytes> files_;
 };

@@ -6,7 +6,6 @@
 
 #include "common/config.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/table.h"
@@ -162,59 +161,6 @@ TEST(RngTest, SplitProducesIndependentStream) {
   Rng a(9);
   Rng child = a.Split();
   EXPECT_NE(a.Next(), child.Next());
-}
-
-// --------------------------------------------------------------------------
-// Stats
-// --------------------------------------------------------------------------
-
-TEST(RunningStatsTest, BasicMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesCombined) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7;
-    (i % 2 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(SampleTest, ExactQuantiles) {
-  Sample s;
-  for (int i = 1; i <= 101; ++i) s.Add(i);
-  EXPECT_DOUBLE_EQ(s.Median(), 51.0);
-  EXPECT_DOUBLE_EQ(s.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Quantile(1.0), 101.0);
-  EXPECT_DOUBLE_EQ(s.Quantile(0.25), 26.0);
-}
-
-TEST(Log2HistogramTest, Buckets) {
-  Log2Histogram h;
-  h.Add(0);
-  h.Add(1);
-  h.Add(2);
-  h.Add(3);
-  h.Add(1024);
-  EXPECT_EQ(h.count(), 5u);
-  ASSERT_GE(h.buckets().size(), 11u);
-  EXPECT_EQ(h.buckets()[0], 2u);   // 0 and 1
-  EXPECT_EQ(h.buckets()[1], 2u);   // 2 and 3
-  EXPECT_EQ(h.buckets()[10], 1u);  // 1024
 }
 
 // --------------------------------------------------------------------------

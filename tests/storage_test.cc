@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
+#include "buf/bytes.h"
 #include "sim/engine.h"
 #include "storage/disk.h"
 #include "storage/localfs.h"
@@ -137,6 +140,29 @@ TEST(LocalFsTest, PartialReadsAndEof) {
     auto past = f.fs.Read(ctx, "/f", 11, 1);
     EXPECT_FALSE(past.ok());
     EXPECT_EQ(past.status().code(), StatusCode::kOutOfRange);
+  });
+  ASSERT_TRUE(f.engine.Run().status.ok());
+}
+
+TEST(LocalFsTest, NodesShareInstalledBytes) {
+  FsFixture f;
+  LocalFs other(std::make_shared<Disk>(DiskParams::CometScratchSsd()), 1.0);
+  const buf::Bytes staged = buf::Bytes::Copy("shared input");
+  const std::uint64_t copies = buf::SnapshotStats().copies;
+  f.fs.Install("/in", staged);
+  other.Install("/in", staged);
+  EXPECT_EQ(buf::SnapshotStats().copies, copies);
+  f.engine.Spawn("io", [&](sim::Context& ctx) {
+    auto mine = f.fs.ReadBytes(ctx, "/in", 0, 100);
+    auto theirs = other.ReadBytes(ctx, "/in", 0, 100);
+    ASSERT_TRUE(mine.ok() && theirs.ok());
+    EXPECT_EQ(mine.value().data(), staged.data());
+    EXPECT_EQ(theirs.value().data(), staged.data());
+    // A write replaces one node's file, not the shared bytes.
+    ASSERT_TRUE(f.fs.Write(ctx, "/in", "changed").ok());
+    auto after = other.ReadBytes(ctx, "/in", 0, 100);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.value(), std::string_view("shared input"));
   });
   ASSERT_TRUE(f.engine.Run().status.ok());
 }
