@@ -26,7 +26,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <optional>
@@ -523,19 +522,7 @@ struct Accuracy {
 
 int main(int argc, char** argv) {
   bench::Observability::Instance().ParseFlags(&argc, argv);
-  bool smoke = false;
-  {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--smoke") == 0) {
-        smoke = true;
-      } else {
-        argv[out++] = argv[i];
-      }
-    }
-    argc = out;
-    argv[argc] = nullptr;
-  }
+  const bool smoke = bench::TakeFlag(&argc, argv, "--smoke");
   auto config = Config::FromArgs(argc, argv);
   if (!config.ok()) {
     std::fprintf(stderr, "%s\n", config.status().ToString().c_str());

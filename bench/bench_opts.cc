@@ -46,6 +46,21 @@ void Observability::ParseFlags(int* argc, char** argv) {
   argv[out] = nullptr;
 }
 
+bool TakeFlag(int* argc, char** argv, std::string_view flag) {
+  bool found = false;
+  int out = 1;
+  for (int i = 1; i < *argc; ++i) {
+    if (argv[i] == flag) {
+      found = true;
+    } else {
+      argv[out++] = argv[i];
+    }
+  }
+  *argc = out;
+  argv[out] = nullptr;
+  return found;
+}
+
 void Observability::Attach(sim::Engine& engine) {
   if (active() || metrics_) engine.EnableTrace(true);
   if (verify_) verify::InstallAll(engine.verify());

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "buf/bytes.h"
 #include "sim/engine.h"
@@ -89,5 +90,10 @@ class Observability {
   /// the delta as buf.* metrics attributed to the run.
   buf::StatsSnapshot buf_at_attach_;
 };
+
+/// Remove every `flag` argument (an exact match such as "--smoke") from
+/// argv, compacting it in place and updating *argc, so key=value config
+/// parsing never sees it. True if it was present.
+bool TakeFlag(int* argc, char** argv, std::string_view flag);
 
 }  // namespace pstk::bench

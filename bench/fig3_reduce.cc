@@ -9,6 +9,11 @@
 // benchmark barely exercises — hence its marginal effect.
 //
 //   ./build/bench/fig3_reduce [procs=64] [ppn=8] [iters=5]
+//
+// Exits non-zero, naming each failure on stderr, unless the paper's two
+// claims hold: MPI is at least 100x faster than Spark at 4 B, and
+// Spark-RDMA is within 1% of Spark at each size (ctest diffs the stdout).
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -107,10 +112,18 @@ int main(int argc, char** argv) {
                    "Spark/MPI"});
   const Bytes sizes[] = {4,        64,        1 * kKiB,  16 * kKiB,
                          128 * kKiB, 512 * kKiB, 1 * kMiB};
+  std::vector<std::string> violations;
   for (Bytes size : sizes) {
     const SimTime mpi = MeasureMpiReduce(procs, ppn, size, iters);
     const SimTime sp = MeasureSparkReduce(procs, ppn, size, iters, false);
     const SimTime sp_rdma = MeasureSparkReduce(procs, ppn, size, iters, true);
+    if (size == 4 && !(mpi > 0 && sp >= 100 * mpi)) {
+      violations.push_back("MPI is not 100x faster than Spark at 4 B");
+    }
+    if (!(std::abs(sp_rdma - sp) <= 0.01 * sp)) {
+      violations.push_back("Spark-RDMA is not within 1% of Spark at " +
+                           FormatBytes(size));
+    }
     table.Row()
         .Cell(FormatBytes(size))
         .Cell(FormatDuration(mpi))
@@ -124,5 +137,9 @@ int main(int argc, char** argv) {
       "size (asynchronous tuned collectives over RDMA vs driver-scheduled\n"
       "jobs over sockets); Spark-RDMA ~= Spark because this benchmark\n"
       "shuffles almost nothing, so the RDMA shuffle engine is marginal.\n");
-  return bench::Observability::Instance().Finish() ? 0 : 1;
+  for (const std::string& v : violations) {
+    std::fprintf(stderr, "FAIL: %s\n", v.c_str());
+  }
+  const bool finished = bench::Observability::Instance().Finish();
+  return finished && violations.empty() ? 0 : 1;
 }

@@ -15,7 +15,6 @@
 // --smoke sweeps to 512 ranks at scale=0.00002 (about a second) and exits
 // non-zero unless the paper's shape holds in every row (ctest runs it).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -221,19 +220,7 @@ std::vector<std::string> ShapeViolations(const std::vector<SweepRow>& rows) {
 
 int main(int argc, char** argv) {
   bench::Observability::Instance().ParseFlags(&argc, argv);
-  bool smoke = false;
-  {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--smoke") == 0) {
-        smoke = true;
-      } else {
-        argv[out++] = argv[i];
-      }
-    }
-    argc = out;
-    argv[argc] = nullptr;
-  }
+  const bool smoke = bench::TakeFlag(&argc, argv, "--smoke");
   auto config = Config::FromArgs(argc, argv);
   if (!config.ok()) {
     std::fprintf(stderr, "%s\n", config.status().ToString().c_str());

@@ -1,6 +1,10 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
+#include <system_error>
 
 namespace pstk {
 
@@ -62,6 +66,33 @@ std::string ToLower(std::string_view text) {
     out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
   return out;
+}
+
+Result<double> ParseFiniteNumber(std::string_view text, std::string_view what) {
+  const std::string owned(text);
+  char* end = nullptr;
+  const double value = std::strtod(owned.c_str(), &end);
+  if (owned.empty() || end != owned.c_str() + owned.size() ||
+      !std::isfinite(value)) {
+    return InvalidArgument("bad " + std::string(what) + " '" + owned +
+                           "' (want a finite number)");
+  }
+  return value;
+}
+
+Result<std::uint64_t> ParseWholeNumber(std::string_view text,
+                                       std::string_view what,
+                                       std::uint64_t max) {
+  const char* end = text.data() + text.size();
+  std::uint64_t value = 0;
+  const auto [stop, err] = std::from_chars(text.data(), end, value);
+  if (err != std::errc() || stop != end || value > max) {
+    return InvalidArgument("bad " + std::string(what) + " '" +
+                           std::string(text) +
+                           "' (want a whole number from 0 to " +
+                           std::to_string(max) + ")");
+  }
+  return value;
 }
 
 }  // namespace pstk

@@ -1,9 +1,13 @@
-// Small string helpers (split/trim/join/prefix) shared across modules.
+// Small string helpers (split/trim/join/prefix, number parsing) shared
+// across modules.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/status.h"
 
 namespace pstk {
 
@@ -15,5 +19,15 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 std::string ToLower(std::string_view text);
+
+/// All of `text` as a finite number in strtod syntax. Empty text, trailing
+/// characters, inf, nan and overflow are errors naming `what`.
+Result<double> ParseFiniteNumber(std::string_view text, std::string_view what);
+
+/// All of `text` as a decimal whole number from 0 to `max`. Signs, points,
+/// exponents and larger values are errors naming `what`.
+Result<std::uint64_t> ParseWholeNumber(std::string_view text,
+                                       std::string_view what,
+                                       std::uint64_t max);
 
 }  // namespace pstk

@@ -2,17 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/strings.h"
 
 namespace pstk::sched {
 
 namespace {
+
+// Times() materializes every arrival up front, so the count is capped.
+constexpr std::uint64_t kMaxArrivals = 1'000'000;
+
+// Above the largest exponential gap in rate units: Uniform() is a multiple
+// of 2^-53 below 1, so -log(1-U) <= 53 ln 2 ~= 36.7.
+constexpr double kMaxGapPerRate = 40.0;
 
 Result<ArrivalSpec> ParsePoisson(const std::string& body) {
   ArrivalSpec spec;
@@ -26,23 +37,31 @@ Result<ArrivalSpec> ParsePoisson(const std::string& body) {
                              "' (want key=value)");
     }
     const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    try {
-      if (key == "rate") {
-        spec.rate = std::stod(value);
-      } else if (key == "n") {
-        spec.count = std::stoi(value);
-      } else if (key == "seed") {
-        spec.seed = std::stoull(value);
-      } else {
-        return InvalidArgument("unknown arrival key '" + key + "'");
-      }
-    } catch (const std::exception&) {
-      return InvalidArgument("bad arrival value '" + value + "' for " + key);
+    const std::string_view text = std::string_view(field).substr(eq + 1);
+    if (key == "rate") {
+      auto rate = ParseFiniteNumber(text, "arrival rate");
+      if (!rate.ok()) return rate.status();
+      spec.rate = *rate;
+    } else if (key == "n") {
+      auto count = ParseWholeNumber(text, "arrival count", kMaxArrivals);
+      if (!count.ok()) return count.status();
+      spec.count = static_cast<int>(*count);
+    } else if (key == "seed") {
+      auto seed = ParseWholeNumber(text, "arrival seed",
+                                   std::numeric_limits<std::uint64_t>::max());
+      if (!seed.ok()) return seed.status();
+      spec.seed = *seed;
+    } else {
+      return InvalidArgument("unknown arrival key '" + key + "'");
     }
   }
   if (spec.rate <= 0) return InvalidArgument("arrival rate must be > 0");
   if (spec.count <= 0) return InvalidArgument("arrival count must be > 0");
+  // Each gap -log(1-U)/rate is at most about 36.7/rate, so this bounds the
+  // last arrival time: a tiny rate must not push it to infinity.
+  if (!std::isfinite(kMaxGapPerRate * spec.count / spec.rate)) {
+    return InvalidArgument("arrival rate too small: times overflow");
+  }
   return spec;
 }
 
@@ -53,16 +72,12 @@ Result<ArrivalSpec> ParseTrace(const std::string& path) {
   if (!in) return NotFound("arrival trace file '" + path + "' not readable");
   std::string line;
   while (std::getline(in, line)) {
-    const auto start = line.find_first_not_of(" \t");
-    if (start == std::string::npos || line[start] == '#') continue;
-    try {
-      spec.trace.push_back(std::stod(line.substr(start)));
-    } catch (const std::exception&) {
-      return InvalidArgument("bad arrival time '" + line + "' in " + path);
-    }
-    if (spec.trace.back() < 0) {
-      return InvalidArgument("negative arrival time in " + path);
-    }
+    const std::string_view text = TrimWhitespace(line);
+    if (text.empty() || text.front() == '#') continue;
+    auto t = ParseFiniteNumber(text, "arrival time in " + path);
+    if (!t.ok()) return t.status();
+    if (*t < 0) return InvalidArgument("negative arrival time in " + path);
+    spec.trace.push_back(*t);
   }
   if (spec.trace.empty()) {
     return InvalidArgument("arrival trace '" + path + "' has no events");

@@ -33,6 +33,9 @@ struct ArrivalSpec {
   ///   poisson:rate=<jobs/s>,n=<count>[,seed=<u64>]
   ///   trace:<file>            (one arrival time in seconds per line;
   ///                            blank lines and #-comments skipped)
+  /// Rates and times must be finite, counts and seeds whole decimal
+  /// numbers, and n at most 10^6; a rate so small that the arrival times
+  /// would overflow is refused. Bad input returns a Status, never aborts.
   static Result<ArrivalSpec> Parse(const std::string& text);
 
   /// Materialize the arrival times (sorted ascending).

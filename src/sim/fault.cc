@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
@@ -13,23 +14,18 @@ namespace pstk::sim {
 
 namespace {
 
-Result<double> ParseNumber(std::string_view text, std::string_view what) {
-  if (text.empty()) return InvalidArgument(std::string(what) + " is empty");
-  char* end = nullptr;
-  const std::string owned(text);
-  const double value = std::strtod(owned.c_str(), &end);
-  if (end != owned.c_str() + owned.size()) {
-    return InvalidArgument("bad " + std::string(what) + " '" + owned + "'");
-  }
-  return value;
-}
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+
+// Exponential materializes every event up front, so a spec that expects
+// more than this many (horizon / mtbf) is refused rather than left to run
+// the host out of memory.
+constexpr double kMaxExpectedFaults = 1e6;
 
 /// `mtbf=<s>,horizon=<s>,nodes=<n>[,first=<id>][,down=<s>][,seed=<u64>]`
 /// — the CLI spelling of FaultPlan::Exponential.
 Result<FaultPlan> ParseExponential(std::string_view body) {
   double mtbf = 0, horizon = 0, down = 0;
-  int nodes = 0, first = 0;
-  std::uint64_t seed = 1;
+  std::uint64_t nodes = 0, first = 0, seed = 1;
   for (const std::string& field : SplitNonEmpty(body, ',')) {
     const auto eq = field.find('=');
     if (eq == std::string::npos) {
@@ -37,32 +33,39 @@ Result<FaultPlan> ParseExponential(std::string_view body) {
                              "' (want key=value)");
     }
     const std::string key = field.substr(0, eq);
-    auto value = ParseNumber(std::string_view(field).substr(eq + 1), key);
-    if (!value.ok()) return value.status();
-    if (key == "mtbf") {
-      mtbf = *value;
-    } else if (key == "horizon") {
-      horizon = *value;
-    } else if (key == "nodes") {
-      nodes = static_cast<int>(*value);
-    } else if (key == "first") {
-      first = static_cast<int>(*value);
-    } else if (key == "down") {
-      down = *value;
-    } else if (key == "seed") {
-      seed = static_cast<std::uint64_t>(*value);
+    const std::string_view text = std::string_view(field).substr(eq + 1);
+    if (key == "mtbf" || key == "horizon" || key == "down") {
+      auto value = ParseFiniteNumber(text, key);
+      if (!value.ok()) return value.status();
+      (key == "mtbf" ? mtbf : key == "horizon" ? horizon : down) = *value;
+    } else if (key == "nodes" || key == "first" || key == "seed") {
+      auto value = ParseWholeNumber(
+          text, key,
+          key == "seed" ? std::numeric_limits<std::uint64_t>::max()
+                        : kMaxInt);
+      if (!value.ok()) return value.status();
+      (key == "nodes" ? nodes : key == "first" ? first : seed) = *value;
     } else {
       return InvalidArgument("unknown exp fault key '" + key + "'");
     }
   }
   if (mtbf <= 0) return InvalidArgument("exp fault needs mtbf > 0");
   if (horizon <= 0) return InvalidArgument("exp fault needs horizon > 0");
-  if (nodes <= 0) return InvalidArgument("exp fault needs nodes > 0");
-  if (first < 0 || first >= nodes) {
+  if (horizon / mtbf > kMaxExpectedFaults) {
+    return InvalidArgument(
+        "exp fault expects more than 1e6 failures (horizon / mtbf)");
+  }
+  if (nodes == 0) return InvalidArgument("exp fault needs nodes > 0");
+  if (first >= nodes) {
     return InvalidArgument("exp fault first node out of range");
   }
   if (down < 0) return InvalidArgument("exp fault down must be >= 0");
-  return FaultPlan::Exponential(mtbf, horizon, nodes, first, down, seed);
+  // Every fault lands before the horizon, so this bounds each restore time.
+  if (!std::isfinite(horizon + down)) {
+    return InvalidArgument("exp fault horizon + down overflows");
+  }
+  return FaultPlan::Exponential(mtbf, horizon, static_cast<int>(nodes),
+                                static_cast<int>(first), down, seed);
 }
 
 }  // namespace
@@ -86,22 +89,26 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
       return InvalidArgument("fault entry '" + entry + "' is missing '@<t>'");
     }
     FaultEvent event;
-    auto node = ParseNumber(rest.substr(0, at), "node id");
+    auto node = ParseWholeNumber(rest.substr(0, at), "node id", kMaxInt);
     if (!node.ok()) return node.status();
     event.node = static_cast<int>(*node);
     std::string_view when = rest.substr(at + 1);
     const auto plus = when.find('+');
     if (plus != std::string_view::npos) {
-      auto down = ParseNumber(when.substr(plus + 1), "repair delay");
+      auto down = ParseFiniteNumber(when.substr(plus + 1), "repair delay");
       if (!down.ok()) return down.status();
       if (*down < 0) return InvalidArgument("repair delay must be >= 0");
       event.down_for = *down;
       when = when.substr(0, plus);
     }
-    auto time = ParseNumber(when, "fault time");
+    auto time = ParseFiniteNumber(when, "fault time");
     if (!time.ok()) return time.status();
     if (*time < 0) return InvalidArgument("fault time must be >= 0");
     event.time = *time;
+    if (event.transient() && !std::isfinite(event.time + event.down_for)) {
+      return InvalidArgument("fault entry '" + entry +
+                             "' restores the node at an infinite time");
+    }
     plan.events.push_back(event);
   }
   std::stable_sort(plan.events.begin(), plan.events.end(),

@@ -43,6 +43,11 @@ struct FaultPlan {
   ///  * a whole Poisson process (the CLI form of `Exponential` below):
   ///    `exp:mtbf=<s>,horizon=<s>,nodes=<n>[,first=<id>][,down=<s>]
   ///    [,seed=<u64>]`. Not mixable with explicit `node:` entries.
+  ///
+  /// Times and restore times must be finite and ids, counts and seeds
+  /// whole decimal numbers in range; an `exp:` spec expecting more than
+  /// 10^6 failures (horizon / mtbf) is refused. Bad input returns a Status,
+  /// never aborts.
   static Result<FaultPlan> Parse(std::string_view spec);
 
   /// Poisson failure process: exponential inter-arrival times with mean

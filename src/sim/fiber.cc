@@ -1,11 +1,12 @@
 #include "sim/fiber.h"
 
-#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <system_error>
+#include <new>
 
 #include "common/check.h"
+#include "common/strings.h"
 
 // ASan needs to be told about every stack switch so its fake-stack
 // machinery (use-after-return detection, unwinding) follows the fiber
@@ -24,11 +25,12 @@
 #endif
 
 #if defined(PSTK_FIBER_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
 // TSan likewise models each fiber as its own synchronization entity:
-// every swapcontext is announced with __tsan_switch_to_fiber so the race
+// every switch is announced with __tsan_switch_to_fiber so the race
 // detector attributes memory accesses to the fiber (not the host thread's
 // original stack), which is what lets the TSan CI job run fiber workloads
 // without false positives on stack reuse.
@@ -46,6 +48,71 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#if !defined(__x86_64__)
+#error "sim/fiber.cc: the fiber switch is written for x86-64 (SysV ABI) only"
+#endif
+
+// pstk_sim_fiber_switch(save_sp, load_sp) pushes what the SysV ABI makes
+// callee-saved — %rbp, %rbx, %r12-%r15, the MXCSR and the x87 control word
+// — stores %rsp through save_sp, loads load_sp, pops the same set from the
+// other stack and returns on it. Everything else is caller-saved, so the
+// compiler already treats the call as clobbering it. No signal mask is
+// saved: nothing in the simulator changes it.
+//
+// pstk_sim_fiber_start is where a fiber's first switch returns to (see
+// FirstFrame): it moves the Fiber* carried in %rbx into the first argument
+// register and jumps to the entry function carried in %r12.
+//
+// Both are hidden, and this file is compiled with -fcf-protection=none
+// (src/sim/CMakeLists.txt): the switch returns onto another stack, which a
+// shadow stack would reject, so no binary that links it may claim SHSTK.
+asm(R"(
+    .pushsection .text
+    .p2align 4
+    .globl pstk_sim_fiber_switch
+    .hidden pstk_sim_fiber_switch
+    .type pstk_sim_fiber_switch, @function
+pstk_sim_fiber_switch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $8, %rsp
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size pstk_sim_fiber_switch, .-pstk_sim_fiber_switch
+
+    .p2align 4
+    .globl pstk_sim_fiber_start
+    .hidden pstk_sim_fiber_start
+    .type pstk_sim_fiber_start, @function
+pstk_sim_fiber_start:
+    movq %rbx, %rdi
+    jmpq *%r12
+    .size pstk_sim_fiber_start, .-pstk_sim_fiber_start
+    .popsection
+)");
+
+extern "C" {
+[[gnu::visibility("hidden")]] void pstk_sim_fiber_switch(
+    void** save_sp, void* load_sp) noexcept;
+[[gnu::visibility("hidden")]] void pstk_sim_fiber_start() noexcept;
+}
+
 namespace pstk::sim {
 
 namespace {
@@ -62,6 +129,27 @@ constexpr std::size_t kMaxStackKb = static_cast<std::size_t>(-1) >> 10;
 // bytes on its way into the slice below.
 constexpr char kCanary[8] = {'p', 's', 't', 'k', 'c', 'n', 'r', 'y'};
 
+// What pstk_sim_fiber_switch pops to start a fiber, lowest address first,
+// placed so that `return_address` is the last word of the slice. The
+// switch's `ret` lands in pstk_sim_fiber_start with %rsp at
+// `return_address`, which is then the null return address of the entry
+// function: unwinders stop there, and %rsp is 8 mod 16 as at any function
+// entry.
+struct FirstFrame {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+  std::uint16_t unused = 0;
+  std::uintptr_t r15 = 0;
+  std::uintptr_t r14 = 0;
+  std::uintptr_t r13 = 0;
+  std::uintptr_t r12 = 0;  // the entry function
+  std::uintptr_t rbx = 0;  // its Fiber*
+  std::uintptr_t rbp = 0;
+  std::uintptr_t start = 0;  // pstk_sim_fiber_start
+  std::uintptr_t return_address = 0;
+};
+static_assert(sizeof(FirstFrame) == 72);
+
 }  // namespace
 
 std::size_t FiberStackBytes() {
@@ -73,15 +161,12 @@ std::size_t FiberStackBytes() {
     return std::size_t{256} << 10;
 #endif
   }
-  const char* end = env + std::strlen(env);
-  std::size_t kb = 0;
-  const auto [stop, err] = std::from_chars(env, end, kb);
-  PSTK_CHECK_MSG(err == std::errc() && stop == end && kb >= kMinStackKb &&
-                     kb <= kMaxStackKb,
+  const auto kb = ParseWholeNumber(env, "PSTK_SIM_STACK_KB", kMaxStackKb);
+  PSTK_CHECK_MSG(kb.ok() && *kb >= kMinStackKb,
                  "PSTK_SIM_STACK_KB='"
                      << env << "' is not a whole number of KiB from "
                      << kMinStackKb << " to " << kMaxStackKb);
-  return kb << 10;
+  return static_cast<std::size_t>(*kb) << 10;
 }
 
 // ---------------------------------------------------------------------------
@@ -161,27 +246,20 @@ void FiberSwitcher::ReturnToEngineAnnotations() {
 #endif
 }
 
-thread_local Fiber* FiberSwitcher::pending_start_ = nullptr;
-
-void FiberSwitcher::Trampoline() {
-  Fiber* f = pending_start_;
-  pending_start_ = nullptr;
-  f->switcher->FiberMain(*f);
-}
-
-void FiberSwitcher::FiberMain(Fiber& f) {
-  EnterFiberAnnotations(nullptr);  // first entry: nothing saved yet
-  engine_.ExecuteBody(*f.proc);
+void FiberSwitcher::FiberMain(Fiber* f) {
+  FiberSwitcher& self = *f->switcher;
+  self.EnterFiberAnnotations(nullptr);  // first entry: nothing saved yet
+  self.engine_.ExecuteBody(*f->proc);
   // Dying switch: nullptr fake-stack save tells ASan to free this fiber's
   // fake frames for good.
 #if defined(PSTK_FIBER_ASAN)
-  __sanitizer_start_switch_fiber(nullptr, engine_stack_bottom_,
-                                 engine_stack_size_);
+  __sanitizer_start_switch_fiber(nullptr, self.engine_stack_bottom_,
+                                 self.engine_stack_size_);
 #endif
 #if defined(PSTK_FIBER_TSAN)
-  __tsan_switch_to_fiber(tsan_engine_fiber_, 0);
+  __tsan_switch_to_fiber(self.tsan_engine_fiber_, 0);
 #endif
-  swapcontext(&f.ctx, &engine_ctx_);
+  pstk_sim_fiber_switch(&f->sp, self.engine_sp_);
   PSTK_CHECK_MSG(false, "resumed a finished fiber");
 }
 
@@ -194,14 +272,26 @@ void FiberSwitcher::Resume(Proc& p) {
     f.proc = &p;
     const std::uint64_t allocated_before = pool_.allocated();
     f.stack = pool_.Acquire();
-    obs_.Add(pool_.allocated() > allocated_before ? stacks_allocated_tag_
-                                                  : stacks_reused_tag_);
-    PSTK_CHECK_MSG(getcontext(&f.ctx) == 0, "getcontext failed");
-    f.ctx.uc_stack.ss_sp = f.stack.base;
-    f.ctx.uc_stack.ss_size = f.stack.size;
-    f.ctx.uc_link = nullptr;  // fibers exit via the explicit dying switch
-    makecontext(&f.ctx, &Trampoline, 0);
-    pending_start_ = &f;
+    const bool reused = pool_.allocated() == allocated_before;
+    obs_.Add(reused ? stacks_reused_tag_ : stacks_allocated_tag_);
+#if defined(PSTK_FIBER_ASAN)
+    // The last fiber on a reused slice left through the dying switch, so
+    // the redzones of the frames it never returned from are still
+    // poisoned, and no interceptor clears them on this switch.
+    if (reused) __asan_unpoison_memory_region(f.stack.base, f.stack.size);
+#endif
+    const std::uintptr_t top =
+        (reinterpret_cast<std::uintptr_t>(f.stack.base) + f.stack.size) &
+        ~std::uintptr_t{15};
+    auto* first =
+        new (reinterpret_cast<void*>(top - sizeof(FirstFrame))) FirstFrame;
+    // The fiber starts with the engine's current FP control state.
+    asm volatile("stmxcsr %0\n\tfnstcw %1"
+                 : "=m"(first->mxcsr), "=m"(first->x87_cw));
+    first->r12 = reinterpret_cast<std::uintptr_t>(&FiberMain);
+    first->rbx = reinterpret_cast<std::uintptr_t>(&f);
+    first->start = reinterpret_cast<std::uintptr_t>(&pstk_sim_fiber_start);
+    f.sp = first;
 #if defined(PSTK_FIBER_TSAN)
     f.tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -217,7 +307,7 @@ void FiberSwitcher::Resume(Proc& p) {
   tsan_engine_fiber_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(f.tsan_fiber, 0);
 #endif
-  swapcontext(&engine_ctx_, &f.ctx);
+  pstk_sim_fiber_switch(&engine_sp_, f.sp);
   ReturnToEngineAnnotations();
   PSTK_CHECK_MSG(StackPool::CanaryIntact(f.stack),
                  "process '" << p.name << "' (pid " << p.context->pid()
@@ -245,7 +335,7 @@ void FiberSwitcher::Suspend(Proc& p) {
 #if defined(PSTK_FIBER_TSAN)
   __tsan_switch_to_fiber(tsan_engine_fiber_, 0);
 #endif
-  swapcontext(&f.ctx, &engine_ctx_);
+  pstk_sim_fiber_switch(&f.sp, engine_sp_);
   EnterFiberAnnotations(f.fake_stack);
 }
 

@@ -1,12 +1,20 @@
 // Fiber execution for sim::Engine: every simulated process is a stackful
-// ucontext coroutine on the engine's own host thread.
+// coroutine on the engine's own host thread.
 //
 // Switch protocol: the engine loop lives on the program stack and
-// swapcontext()s directly onto the next runnable process's fiber stack;
-// the process swaps back when it parks, finishes, or unwinds. A dispatch
-// is therefore two user-space context switches — no mutex, no condvar, no
-// host scheduler round-trip — which is what makes 10^5-process sweeps
-// practical (bench/micro_engine.cc records the dispatch throughput).
+// switches directly onto the next runnable process's fiber stack; the
+// process switches back when it parks, finishes, or unwinds. A switch is
+// a few instructions of x86-64 assembly (fiber.cc) that push the
+// callee-saved registers, the MXCSR and the x87 control word, swap the
+// stack pointer and pop the same set from the other stack. It makes no
+// system call and leaves the signal mask alone. A dispatch is therefore
+// two plain user-space stack switches — no mutex, no condvar, no host
+// scheduler round-trip, no kernel entry — which is what makes 10^5-process
+// sweeps practical (bench/micro_engine.cc records the dispatch
+// throughput). A fiber's first switch pops a hand-built frame at the top
+// of its stack whose return address is a two-instruction start stub; the
+// stub hands the Fiber* carried in %rbx to FiberMain, whose own return
+// address is null, so unwinders and backtrace() stop at the fiber's base.
 //
 // Stack pooling: fiber stacks are fixed-size slices carved out of large
 // heap slabs (one allocation per ~16 MiB of stacks, so even 10^5 live
@@ -26,14 +34,13 @@
 // Sanitizer support: under ASan every switch is bracketed with
 // __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber so the
 // fake-stack machinery tracks which stack is live (CMake detects the
-// header and defines PSTK_HAVE_SANITIZER_FIBER). Under TSan every fiber
-// is registered as its own synchronization entity and each swapcontext is
+// header and defines PSTK_HAVE_SANITIZER_FIBER), and a reused slice is
+// unpoisoned before its new fiber starts. Under TSan every fiber is
+// registered as its own synchronization entity and each switch is
 // announced via __tsan_switch_to_fiber (PSTK_HAVE_TSAN_FIBER), which is
 // what lets the TSan CI job run fiber workloads. UBSan needs no
 // annotations.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -89,12 +96,13 @@ class StackPool {
 struct Fiber {
   FiberSwitcher* switcher = nullptr;
   Proc* proc = nullptr;
-  ucontext_t ctx{};
+  void* sp = nullptr;  // saved by its last switch out (first: FirstFrame)
   FiberStack stack;
   void* fake_stack = nullptr;  // ASan fake-stack handle while parked
   void* tsan_fiber = nullptr;  // TSan fiber entity (owned until death)
   bool started = false;
 };
+static_assert(sizeof(Fiber) <= 64, "Fiber grew past 64 bytes");
 
 /// Moves control between the engine loop and process bodies. Exactly one
 /// of them runs at any instant. See the file comment.
@@ -119,16 +127,9 @@ class FiberSwitcher {
   void Unwind(Proc& p);
 
  private:
-  static void Trampoline();
-  void FiberMain(Fiber& f);
-
-  // makecontext() entry points take no arguments, so the fiber being
-  // started is handed to Trampoline through this slot (written immediately
-  // before the first switch into the fiber, consumed as its first action;
-  // the engine's control flow is single-threaded, so no other switch can
-  // intervene). thread_local keeps engines on different host threads
-  // independent.
-  static thread_local Fiber* pending_start_;
+  // Bottom frame of every fiber: the start stub in fiber.cc jumps here
+  // with the Fiber* that the first frame carries. Never returns.
+  [[noreturn]] static void FiberMain(Fiber* f);
 
   // ASan fake-stack bookkeeping (no-ops outside ASan builds).
   void EnterFiberAnnotations(void* fake_stack);
@@ -139,7 +140,7 @@ class FiberSwitcher {
   obs::TagId stacks_allocated_tag_;
   obs::TagId stacks_reused_tag_;
   StackPool pool_;
-  ucontext_t engine_ctx_{};
+  void* engine_sp_ = nullptr;  // engine stack pointer while a fiber runs
   // Engine-thread stack bounds, captured on the first switch into a fiber;
   // needed to annotate switches back out.
   const void* engine_stack_bottom_ = nullptr;

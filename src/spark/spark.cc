@@ -373,7 +373,7 @@ SparkContext::TaskSetOutcome SparkContext::RunTaskSet(
 
   sim::Scope stage_scope(ctx_, app_.obs_tags.stage);
   const std::uint64_t task_set = app_.next_task_set++;
-  app_.closures[task_set] = closure;
+  app_.closures[task_set] = std::make_shared<const TaskClosure>(closure);
 
   // A previous task set may have aborted (fetch failure) with tasks still
   // in flight; those executors dropped the stale work, so treat everyone
@@ -737,8 +737,9 @@ void MiniSpark::ExecutorMain(sim::Context& ctx, int executor_id) {
     PSTK_CHECK(msg->tag == kTagTask);
     const TaskHeader header = DecodeHeader(msg->payload);
 
-    auto closure = app_->closures.find(header.task_set);
-    if (closure == app_->closures.end()) continue;  // stale task
+    const auto found = app_->closures.find(header.task_set);
+    if (found == app_->closures.end()) continue;  // stale task
+    const std::shared_ptr<const TaskClosure> closure = found->second;
 
     ctx.Compute(app_->options.executor_per_task);
     app_->obs->Add(app_->obs_tags.tasks);
@@ -750,7 +751,7 @@ void MiniSpark::ExecutorMain(sim::Context& ctx, int executor_id) {
       serde::Writer done;
       done.Reserve(kTaskHeaderBytes);
       WriteHeader(done, header.task_set, header.partition);
-      closure->second(rt, header.partition, done);
+      (*closure)(rt, header.partition, done);
       const Bytes modeled =
           app_->Modeled(done.size() - kTaskHeaderBytes) + kKiB;
       ep.SendAsync(ctx, app_->driver_endpoint, kTagTaskDone, done.TakeBytes(),

@@ -99,7 +99,11 @@ struct AppState {
   /// MiniSpark::Submit when SparkOptions::reacquire_executors is set.
   std::function<void(ExecutorInfo&)> respawn_executor;
   int driver_endpoint = 0;
-  std::map<std::uint64_t, TaskClosure> closures;
+  /// Closures of the running task sets. RunTaskSet drops its entry when
+  /// the set ends, possibly on a fetch failure while another executor is
+  /// still inside the closure, so each executor holds a reference of its
+  /// own for the length of its task.
+  std::map<std::uint64_t, std::shared_ptr<const TaskClosure>> closures;
   std::uint64_t next_task_set = 1;
   int next_rdd_id = 0;
   int next_shuffle_id = 0;

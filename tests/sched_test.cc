@@ -1,18 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ckpt/ckpt.h"
 #include "cluster/cluster.h"
+#include "common/rng.h"
 #include "mpi/mpi.h"
 #include "sched/adapters.h"
 #include "sched/arrivals.h"
 #include "sched/sched.h"
 #include "serde/serde.h"
 #include "sim/engine.h"
+#include "sim/fault.h"
 
 namespace pstk::sched {
 namespace {
@@ -96,6 +105,171 @@ TEST(ArrivalSpecTest, TraceFileReplay) {
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->Times(), (std::vector<SimTime>{1.5, 3.0, 5.0}));  // sorted
   EXPECT_FALSE(ArrivalSpec::Parse("trace:/no/such/file").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Parsers of outside input: --faults= and --arrivals= specs
+// ---------------------------------------------------------------------------
+
+std::string WriteTrace(const std::string& name,
+                       const std::vector<std::string>& lines) {
+  const std::string path = testing::TempDir() + "/" + name;
+  std::ofstream out(path);
+  for (const std::string& line : lines) out << line << "\n";
+  return path;
+}
+
+// A parse that succeeded must hold only finite, in-range values.
+void ExpectSaneFaultPlan(const std::string& spec) {
+  const auto plan = sim::FaultPlan::Parse(spec);
+  if (!plan.ok()) return;
+  EXPECT_LE(plan->events.size(), 2'000'000u) << spec;
+  for (const sim::FaultEvent& event : plan->events) {
+    EXPECT_GE(event.node, 0) << spec;
+    EXPECT_TRUE(std::isfinite(event.time) && event.time >= 0) << spec;
+    EXPECT_TRUE(std::isfinite(event.down_for) &&
+                (event.down_for >= 0 || event.down_for == -1))
+        << spec;
+    if (event.transient()) {
+      EXPECT_TRUE(std::isfinite(event.time + event.down_for)) << spec;
+    }
+  }
+}
+
+void ExpectSaneArrivalSpec(const std::string& text) {
+  const auto spec = ArrivalSpec::Parse(text);
+  if (!spec.ok()) return;
+  if (spec->kind == ArrivalSpec::Kind::kPoisson) {
+    EXPECT_TRUE(std::isfinite(spec->rate) && spec->rate > 0) << text;
+    EXPECT_TRUE(spec->count >= 1 && spec->count <= 1'000'000) << text;
+    for (const SimTime t : spec->Times()) {
+      EXPECT_TRUE(std::isfinite(t)) << text;
+    }
+    return;
+  }
+  EXPECT_TRUE(std::is_sorted(spec->trace.begin(), spec->trace.end()))
+      << text;
+  for (const SimTime t : spec->trace) {
+    EXPECT_TRUE(std::isfinite(t) && t >= 0) << text;
+  }
+}
+
+TEST(SpecParseTest, NonFiniteAndOutOfRangeNumbersAreRefused) {
+  for (const char* spec : {
+           "exp:mtbf=1,horizon=inf,nodes=2",   // never stopped appending
+           "exp:mtbf=nan,horizon=1,nodes=2",   // aborted in Exponential
+           "exp:mtbf=1e-9,horizon=1,nodes=2",  // 1e9 expected failures
+           "exp:mtbf=1,horizon=10,nodes=1e10",
+           "exp:mtbf=1,horizon=10,nodes=4,first=1e10",
+           "exp:mtbf=1,horizon=10,nodes=2,seed=-1",
+           "exp:mtbf=1,horizon=10,nodes=2,seed=1.5",
+           "exp:mtbf=1,horizon=10,nodes=2,down=nan",
+           "node:0@nan",
+           "node:0@1+nan",  // made the fault permanent
+           "node:0@1e308+1e308",  // restored at t=inf
+           "exp:mtbf=1e303,horizon=1e308,nodes=2,down=1e308",
+           "node:0@inf",
+           "node:1e10@1",  // read back as INT_MIN
+           "node:-1@1",
+           "node:1.5@1",
+           "node:@1",
+       }) {
+    EXPECT_FALSE(sim::FaultPlan::Parse(spec).ok()) << spec;
+  }
+  for (const char* spec : {
+           "poisson:rate=nan,n=3",
+           "poisson:rate=inf,n=3",
+           "poisson:rate=1e-320,n=3",  // arrival times overflowed to inf
+           "poisson:rate=1,n=1e10",
+           "poisson:rate=1,n=1.5",
+           "poisson:rate=1,n=2000000",
+           "poisson:rate=1,n=3,seed=-1",
+           "poisson:rate=1,n=3,seed=18446744073709551616",
+           "poisson:rate=1x,n=3",
+       }) {
+    EXPECT_FALSE(ArrivalSpec::Parse(spec).ok()) << spec;
+  }
+  for (const char* line : {"nan", "inf", "-inf", "1e400", "5.0 junk"}) {
+    const std::string path = WriteTrace("bad_trace.txt", {"1.0", line});
+    EXPECT_FALSE(ArrivalSpec::Parse("trace:" + path).ok()) << line;
+  }
+
+  // The whole range stays open.
+  const auto max_seed = sim::FaultPlan::Parse(
+      "exp:mtbf=1,horizon=10,nodes=2,seed=18446744073709551615");
+  ASSERT_TRUE(max_seed.ok()) << max_seed.status().ToString();
+  const auto last_node = sim::FaultPlan::Parse("node:2147483647@0+0");
+  ASSERT_TRUE(last_node.ok()) << last_node.status().ToString();
+  EXPECT_EQ(last_node->events[0].node, 2147483647);
+  const auto seeded =
+      ArrivalSpec::Parse("poisson:rate=1,n=1000000,seed=18446744073709551615");
+  ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+  EXPECT_EQ(seeded->seed, 18446744073709551615u);
+  const std::string crlf = WriteTrace("crlf_trace.txt", {"2.5\r", " 1 "});
+  const auto trimmed = ArrivalSpec::Parse("trace:" + crlf);
+  ASSERT_TRUE(trimmed.ok()) << trimmed.status().ToString();
+  EXPECT_EQ(trimmed->trace, (std::vector<SimTime>{1.0, 2.5}));
+}
+
+// Replaces a value, inserts a token or truncates, one to three times. The
+// tokens are what a careless or hostile spec carries.
+std::string Mutate(std::string text, Rng& rng) {
+  static const char* const kTokens[] = {
+      "nan", "inf", "-inf", "1e10", "-1", "1.5", "", "x?!", "1e400",
+      "1e308", "1e-320", "18446744073709551616", "0"};
+  const int ops = 1 + static_cast<int>(rng.Below(3));
+  for (int op = 0; op < ops; ++op) {
+    const std::string token = kTokens[rng.Below(std::size(kTokens))];
+    switch (rng.Below(3)) {
+      case 0: {  // one value: a run between separators
+        std::vector<std::pair<std::size_t, std::size_t>> values;
+        std::size_t begin = 0;
+        for (std::size_t i = 0; i <= text.size(); ++i) {
+          if (i == text.size() || std::string_view(":,@+=").find(text[i]) !=
+                                      std::string_view::npos) {
+            values.emplace_back(begin, i);
+            begin = i + 1;
+          }
+        }
+        const auto [b, e] = values[rng.Below(values.size())];
+        text.replace(b, e - b, token);
+        break;
+      }
+      case 1:
+        text.insert(rng.Below(text.size() + 1), token);
+        break;
+      default:
+        text.resize(rng.Below(text.size() + 1));
+        break;
+    }
+  }
+  return text;
+}
+
+TEST(SpecParseTest, SeededMutationsReturnStatusOrSaneValues) {
+  // Every mutant either fails to parse or holds finite, in-range values;
+  // none may abort, hang or allocate without bound.
+  Rng rng(19);
+  const std::vector<std::string> fault_seeds = {
+      "node:0@1", "node:3@2.5+10,node:1@0.5",
+      "exp:mtbf=10,horizon=100,nodes=4",
+      "exp:mtbf=5,horizon=50,nodes=8,first=2,down=3,seed=7"};
+  const std::vector<std::string> arrival_seeds = {
+      "poisson:rate=0.5,n=10,seed=42", "poisson:rate=2,n=3"};
+  const std::vector<std::string> trace_lines = {"# arrivals", "5.0", "  1.5",
+                                                "", "3.0"};
+  for (int i = 0; i < 3000; ++i) {
+    ExpectSaneFaultPlan(
+        Mutate(fault_seeds[rng.Below(fault_seeds.size())], rng));
+    ExpectSaneArrivalSpec(
+        Mutate(arrival_seeds[rng.Below(arrival_seeds.size())], rng));
+    if (i % 10 == 0) {
+      std::vector<std::string> lines = trace_lines;
+      std::string& line = lines[rng.Below(lines.size())];
+      line = Mutate(line, rng);
+      ExpectSaneArrivalSpec("trace:" + WriteTrace("mutated_trace.txt", lines));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+#include <execinfo.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cfenv>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
@@ -1096,6 +1098,112 @@ TEST(FiberSchedulerTest, StackPoolReusesAcrossSequentialSpawns) {
   ASSERT_TRUE(engine.Run().status.ok());
   EXPECT_EQ(engine.obs().CounterByName("sim.fiber.stacks_allocated"), 1u);
   EXPECT_EQ(engine.obs().CounterByName("sim.fiber.stacks_reused"), 31u);
+}
+
+// The rounding mode as both FP units see it: fegetround() reads the x87
+// control word, and a runtime SSE division reads the MXCSR (1/3 comes out
+// above its round-to-nearest value only when rounding upward).
+struct Rounding {
+  int x87;
+  bool sse_upward;
+};
+Rounding ReadRounding() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return {std::fegetround(), one / three > 0.3333333333333333};
+}
+
+TEST(FiberSchedulerTest, RoundingModeStaysWithTheFiberThatSetIt) {
+  // The switch saves the MXCSR and the x87 control word with the other
+  // callee-saved state, so a fiber's fesetround holds across its parks and
+  // reaches neither the engine nor another fiber.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  Engine engine(1);
+  Rounding parked{};
+  Rounding in_engine{};
+  Rounding other{};
+  Rounding resumed{};
+  engine.Spawn("upward", [&](Context& ctx) {
+    std::fesetround(FE_UPWARD);
+    parked = ReadRounding();
+    ctx.SleepUntil(2.0);
+    resumed = ReadRounding();
+  });
+  engine.ScheduleEvent(1.0, [&] { in_engine = ReadRounding(); });
+  engine.SpawnAt(1.5, "other", [&](Context&) { other = ReadRounding(); });
+  ASSERT_TRUE(engine.Run().status.ok());
+  EXPECT_EQ(parked.x87, FE_UPWARD);
+  EXPECT_TRUE(parked.sse_upward);
+  EXPECT_EQ(in_engine.x87, FE_TONEAREST);
+  EXPECT_FALSE(in_engine.sse_upward);
+  EXPECT_EQ(other.x87, FE_TONEAREST);
+  EXPECT_FALSE(other.sse_upward);
+  EXPECT_EQ(resumed.x87, FE_UPWARD);
+  EXPECT_TRUE(resumed.sse_upward);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_FALSE(ReadRounding().sse_upward);
+}
+
+TEST(FiberSchedulerTest, BacktraceStopsAtTheFiberBase) {
+  // A fiber's first frame ends in a null return address, so an unwinder
+  // walking up from a body stops at the fiber's base rather than running
+  // on into whatever the slice held. The fibers run one after another, so
+  // the later ones start on a reused slice.
+  constexpr int kMaxFrames = 256;
+  Engine engine(1);
+  std::vector<int> depths;
+  for (int i = 0; i < 3; ++i) {
+    engine.SpawnAt(static_cast<SimTime>(i), "trace" + std::to_string(i),
+                   [&](Context& ctx) {
+                     void* frames[kMaxFrames];
+                     depths.push_back(backtrace(frames, kMaxFrames));
+                     ctx.Yield();
+                     depths.push_back(backtrace(frames, kMaxFrames));
+                   });
+  }
+  ASSERT_TRUE(engine.Run().status.ok());
+  ASSERT_EQ(depths.size(), 6u);
+  for (const int depth : depths) {
+    EXPECT_GT(depth, 0);
+    EXPECT_LT(depth, kMaxFrames);
+  }
+  EXPECT_EQ(engine.obs().CounterByName("sim.fiber.stacks_reused"), 2u);
+}
+
+// Parks in its destructor, so an exception unwinding through its scope
+// is suspended mid-flight.
+struct ParkOnUnwind {
+  Context& ctx;
+  ~ParkOnUnwind() { ctx.SleepFor(1.0); }
+};
+
+TEST(FiberSchedulerTest, ExceptionThrownBeforeAParkIsCaughtAfterIt) {
+  // The unwinder's state lives on the fiber's stack and in the exception
+  // object, so a throw whose unwinding parks is caught after the resume,
+  // in the frame that threw, even though another fiber threw and caught
+  // its own exception while the first was parked.
+  Engine engine(1);
+  std::string caught;
+  std::string other_caught;
+  engine.Spawn("thrower", [&](Context& ctx) {
+    try {
+      const ParkOnUnwind park{ctx};
+      throw std::runtime_error("thrown before the park");
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+  });
+  engine.SpawnAt(0.5, "other", [&](Context&) {
+    try {
+      throw std::logic_error("thrown during the park");
+    } catch (const std::logic_error& e) {
+      other_caught = e.what();
+    }
+  });
+  auto result = engine.Run();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(caught, "thrown before the park");
+  EXPECT_EQ(other_caught, "thrown during the park");
 }
 
 TEST(ConditionTest, DropsKilledWaiter) {

@@ -389,6 +389,46 @@ TEST(SparkTest, AllExecutorsLostFailsApp) {
   EXPECT_EQ(job_status.code(), StatusCode::kUnavailable);
 }
 
+TEST(SparkTest, TaskOutlivingItsFailedTaskSetKeepsItsClosure) {
+  // Regression: executors ran a task through a reference into
+  // AppState::closures, and RunTaskSet erases that entry when the set ends
+  // on a fetch failure. After node 1 fails, the shuffled half's tasks fail
+  // their fetch at once while the disk-cached half's tasks are parked in
+  // their block reads; when those wake they call Reduce's fn, which ASan
+  // reported as a heap-use-after-free.
+  SparkOptions options;
+  options.executors_per_node = 2;
+  SparkFixture f(4, 1.0, options);
+  std::int64_t sum = -1;
+  auto result = f.spark->RunApp([&](SparkContext& sc) {
+    std::vector<std::int64_t> values(400000);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = static_cast<std::int64_t>(i);
+    }
+    auto cached = sc.Parallelize(std::move(values), 2);
+    cached.Persist(StorageLevel::kDiskOnly);
+    std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
+    for (std::int64_t i = 0; i < 4000; ++i) pairs.emplace_back(i % 97, i);
+    auto reduced =
+        sc.Parallelize(std::move(pairs), 8)
+            .AsPairs<std::int64_t, std::int64_t>()
+            .ReduceByKey([](std::int64_t a, std::int64_t b) { return a + b; },
+                         8)
+            .Values();
+    auto both = cached.Union(reduced);
+    ASSERT_TRUE(both.Count().ok());
+    f.cluster->FailNode(1, sc.ctx().now());
+    sc.ctx().SleepFor(1e-6);
+    auto total = both.Reduce(
+        [](const std::int64_t& a, const std::int64_t& b) { return a + b; });
+    ASSERT_TRUE(total.ok()) << total.status().ToString();
+    sum = *total;
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(sum, std::int64_t{399999} * 400000 / 2 + 3999 * 4000 / 2);
+  EXPECT_EQ(result->stats.fetch_failures, 1u);
+}
+
 TEST(SparkTest, DriverOverheadDominatesTinyJobs) {
   // The Fig 3 story: a trivial reduce still costs driver milliseconds.
   SparkFixture f;
