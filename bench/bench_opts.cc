@@ -9,7 +9,6 @@
 
 #include "common/log.h"
 #include "obs/obs.h"
-#include "verify/checkers.h"
 
 namespace pstk::bench {
 
@@ -63,7 +62,7 @@ bool TakeFlag(int* argc, char** argv, std::string_view flag) {
 
 void Observability::Attach(sim::Engine& engine) {
   if (active() || metrics_) engine.EnableTrace(true);
-  if (verify_) verify::InstallAll(engine.verify());
+  if (verify_) engine.verify().Enable();
   buf_at_attach_ = buf::SnapshotStats();
 }
 

@@ -3,7 +3,7 @@
 // Every bench accepts:
 //   --trace=<file>   write a merged Chrome trace_event JSON of all runs
 //   --metrics        print a per-run metrics table (counters + histograms)
-//   --verify         install the runtime-verification checkers (MPI usage,
+//   --verify         turn on the runtime-verification checkers (MPI usage,
 //                    SHMEM synchronization, Spark/MR invariants) and print
 //                    a findings report per run
 //   --faults=node:<id>@<t>[+<down>][,...]
@@ -64,7 +64,7 @@ class Observability {
   [[nodiscard]] const std::string& arrivals() const { return arrivals_; }
 
   /// Enable the engine's instrumentation bus when --trace/--metrics is on
-  /// and install the verification checkers when --verify is on.
+  /// and turn on the verification checkers when --verify is on.
   void Attach(sim::Engine& engine);
 
   /// Harvest one finished engine: append its events to the merged trace
