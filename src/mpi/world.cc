@@ -12,7 +12,8 @@ World::World(cluster::Cluster& cluster, int nranks, int ranks_per_node,
     : cluster_(cluster),
       options_(std::move(options)),
       nranks_(nranks),
-      ranks_per_node_(ranks_per_node) {
+      ranks_per_node_(ranks_per_node),
+      verify_job_(cluster.engine().verify().NewJob()) {
   PSTK_CHECK_MSG(nranks_ >= 1, "need at least one rank");
   PSTK_CHECK_MSG(ranks_per_node_ >= 1, "ranks_per_node must be >= 1");
   if (!options_.placement.empty()) {
@@ -53,7 +54,8 @@ void World::SpawnRanks(RankBody body) {
           // as t=0 launches.
           ctx.SleepFor(options_.startup_cost);
           network_->endpoint(r).Bind(ctx);
-          Comm comm(*this, ctx, r, nranks_, /*comm_id=*/0, group);
+          Comm comm(*this, ctx, r, nranks_, /*comm_id=*/0, /*verify_id=*/0,
+                    group);
           body(comm);
           // MPI_Finalize synchronizes the job teardown.
           comm.Barrier();
@@ -89,7 +91,7 @@ Result<SimTime> World::RunSpmd(RankBody body) {
   }
   if (!result.status.ok()) return result.status;
   // Clean completion: flush end-of-job checks (leaked communicators).
-  cluster_.engine().verify().OnJobEnd("mpi", job_end_);
+  cluster_.engine().verify().OnMpiJobEnd(verify_job_, job_end_);
   return job_end_;
 }
 

@@ -190,6 +190,7 @@ class ShmemWorld {
   ShmemOptions options_;
   int npes_;
   int pes_per_node_;
+  int verify_job_;  // this job's number on the engine's verify hub
   std::shared_ptr<net::Fabric> fabric_;
   std::unique_ptr<net::Network> network_;
 
