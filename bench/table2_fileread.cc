@@ -9,9 +9,13 @@
 //     8 GB:  Spark+HDFS 8.2 s | Spark local 6.5 s | MPI 1.2 s
 //    80 GB:  Spark+HDFS 46.75 s | Spark local 29.9 s | MPI 14.16 s
 //
+// Exits 1, with a FAIL: line per broken row on stderr, unless each row keeps
+// the paper's order 0 <= MPI < Spark on local fs < Spark on HDFS.
+//
 //   ./build/bench/table2_fileread [nodes=8] [ppn=8] [scale=0.001]
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_opts.h"
 #include "buf/bytes.h"
@@ -154,6 +158,7 @@ int main(int argc, char** argv) {
       {8 * kGiB, "8.2s / 6.5s / 1.2s"},
       {80 * kGiB, "46.75s / 29.9s / 14.16s"},
   };
+  std::vector<std::string> violations;
   for (const auto& row : rows) {
     const auto actual =
         static_cast<Bytes>(static_cast<double>(row.logical) * scale);
@@ -161,6 +166,13 @@ int main(int argc, char** argv) {
     const SimTime hdfs = SparkHdfsRead(nodes, ppn, scale, data);
     const SimTime local = SparkLocalRead(nodes, ppn, scale, data);
     const SimTime mpi = MpiRead(nodes, ppn, scale, data);
+    if (!(0 <= mpi && mpi < local && local < hdfs)) {
+      violations.push_back(FormatBytes(row.logical) + ": MPI " +
+                           FormatDuration(mpi) + ", Spark on local fs " +
+                           FormatDuration(local) + ", Spark on HDFS " +
+                           FormatDuration(hdfs) +
+                           " break 0 <= MPI < Spark-local < Spark-HDFS");
+    }
     table.Row()
         .Cell(FormatBytes(row.logical))
         .Cell(FormatDuration(hdfs))
@@ -173,5 +185,9 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper): MPI fastest (thin native I/O path);\n"
       "HDFS adds ~25%% over Spark-on-local (extra distribution layer), the\n"
       "price of transparent datanode fault handling.\n");
-  return bench::Observability::Instance().Finish() ? 0 : 1;
+  for (const std::string& v : violations) {
+    std::fprintf(stderr, "FAIL: %s\n", v.c_str());
+  }
+  const bool finished = bench::Observability::Instance().Finish();
+  return finished && violations.empty() ? 0 : 1;
 }
