@@ -102,9 +102,9 @@ std::vector<int> JobQueue::InScanOrder() const {
 // Scheduler
 // ---------------------------------------------------------------------------
 
-Scheduler::Scheduler(cluster::Cluster& cluster, SchedOptions options)
-    : cluster_(cluster), engine_(cluster.engine()), options_(std::move(options)) {
-  for (const auto& [queue, weight] : options_.queue_weights) {
+Scheduler::Scheduler(cluster::Cluster& cluster, const SchedOptions& options)
+    : cluster_(cluster), engine_(cluster.engine()) {
+  for (const auto& [queue, weight] : options.queue_weights) {
     queue_.SetWeight(queue, weight);
   }
   obs::Registry& reg = engine_.obs();
@@ -430,23 +430,20 @@ void Scheduler::SchedulePass() {
         progress = true;
         continue;
       }
-      if (options_.preemption && TryPreemptFor(job) &&
-          TryStart(job, /*backfill=*/false)) {
+      if (TryPreemptFor(job) && TryStart(job, /*backfill=*/false)) {
         progress = true;
         continue;
       }
       // Head is blocked: EASY backfill — later jobs may start now iff
       // their estimate finishes before the head's shadow time.
-      if (options_.backfill) {
-        const SimTime shadow = ShadowTime(job);
-        for (int id : queue_.InScanOrder()) {
-          if (id == *head) continue;
-          JobInfo& candidate = jobs_.at(id);
-          if (engine_.now() + candidate.spec.est_runtime > shadow) continue;
-          if (TryStart(candidate, /*backfill=*/true)) {
-            progress = true;
-            break;
-          }
+      const SimTime shadow = ShadowTime(job);
+      for (int id : queue_.InScanOrder()) {
+        if (id == *head) continue;
+        JobInfo& candidate = jobs_.at(id);
+        if (engine_.now() + candidate.spec.est_runtime > shadow) continue;
+        if (TryStart(candidate, /*backfill=*/true)) {
+          progress = true;
+          break;
         }
       }
     }

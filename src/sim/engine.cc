@@ -47,12 +47,8 @@ SimTime Context::Block(std::string_view reason) {
   return engine_.ProcBlock(pid_, reason);
 }
 
-SimTime Context::BlockOn(std::string_view reason, Pid holder) {
-  return engine_.ProcBlock(pid_, reason, holder);
-}
-
 SimTime Context::BlockOn(std::string_view reason, std::function<Pid()> holder) {
-  return engine_.ProcBlock(pid_, reason, kNoPid, std::move(holder));
+  return engine_.ProcBlock(pid_, reason, std::move(holder));
 }
 
 SimTime Context::BlockUntil(SimTime t, std::string_view reason) {
@@ -357,20 +353,18 @@ void Engine::CheckKilled(Proc& p) {
   if (p.kill_requested) throw ProcessKilled{};
 }
 
-SimTime Engine::ProcBlock(Pid pid, std::string_view reason, Pid holder,
-                          std::function<Pid()> holder_fn) {
+SimTime Engine::ProcBlock(Pid pid, std::string_view reason,
+                          std::function<Pid()> holder) {
   Proc& p = *procs_[pid];
   PSTK_CHECK(p.state == ProcState::kRunning);
   p.state = ProcState::kBlocked;
   p.wait_reason = reason;
-  p.wait_holder = holder;
-  p.wait_holder_fn = std::move(holder_fn);
+  p.wait_holder = std::move(holder);
   if (obs_.enabled()) {
     obs_.Instant(p.node, pid, tags_.block, p.clock, obs_.Intern(reason));
   }
   ProcYieldToEngine(p);
-  p.wait_holder = kNoPid;
-  p.wait_holder_fn = nullptr;
+  p.wait_holder = nullptr;
   return p.clock;
 }
 

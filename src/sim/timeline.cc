@@ -11,27 +11,11 @@ SimTime Timeline::Acquire(SimTime ready, SimTime duration) {
   const SimTime start = std::max(ready, next_free_);
   next_free_ = start + duration;
   busy_ += duration;
-  ++ops_;
   return next_free_;
 }
 
 SimTime Timeline::Peek(SimTime ready, SimTime duration) const {
   return std::max(ready, next_free_) + duration;
-}
-
-ChannelBank::ChannelBank(std::size_t channels) {
-  PSTK_CHECK_MSG(channels >= 1, "ChannelBank needs at least one channel");
-  for (std::size_t i = 0; i < channels; ++i) free_at_.insert(0.0);
-}
-
-SimTime ChannelBank::Acquire(SimTime ready, SimTime duration) {
-  PSTK_DCHECK(duration >= 0);
-  auto it = free_at_.begin();
-  const SimTime start = std::max(ready, *it);
-  free_at_.erase(it);
-  const SimTime done = start + duration;
-  free_at_.insert(done);
-  return done;
 }
 
 std::size_t ConcurrencyWindow::Record(SimTime start, SimTime end) {
@@ -45,14 +29,6 @@ std::size_t ConcurrencyWindow::Record(SimTime start, SimTime end) {
   }
   spans_.push_back(Span{start, end});
   return overlapping;
-}
-
-std::size_t ConcurrencyWindow::active_at(SimTime t) const {
-  std::size_t count = 0;
-  for (const Span& span : spans_) {
-    if (span.start <= t && t < span.end) ++count;
-  }
-  return count;
 }
 
 }  // namespace pstk::sim

@@ -8,8 +8,7 @@
 // saturated NICs and SSDs behave to first order.
 #pragma once
 
-#include <cstdint>
-#include <set>
+#include <cstddef>
 #include <vector>
 
 #include "common/units.h"
@@ -30,26 +29,10 @@ class Timeline {
   [[nodiscard]] SimTime next_free() const { return next_free_; }
   /// Total busy time accumulated (for utilization reports).
   [[nodiscard]] SimTime busy_time() const { return busy_; }
-  [[nodiscard]] std::uint64_t op_count() const { return ops_; }
 
  private:
   SimTime next_free_ = 0;
   SimTime busy_ = 0;
-  std::uint64_t ops_ = 0;
-};
-
-/// A bank of `channels` identical FIFO resources; each operation is served
-/// by the earliest-free channel (models multi-lane links, disk queues).
-class ChannelBank {
- public:
-  explicit ChannelBank(std::size_t channels = 1);
-
-  SimTime Acquire(SimTime ready, SimTime duration);
-  [[nodiscard]] std::size_t channels() const { return free_at_.size(); }
-  [[nodiscard]] SimTime earliest_free() const { return *free_at_.begin(); }
-
- private:
-  std::multiset<SimTime> free_at_;
 };
 
 /// Tracks how many operations overlap a time window; used by the SSD model
@@ -59,8 +42,6 @@ class ConcurrencyWindow {
   /// Record an operation spanning [start, end); returns the number of
   /// previously-recorded operations it overlaps.
   std::size_t Record(SimTime start, SimTime end);
-
-  [[nodiscard]] std::size_t active_at(SimTime t) const;
 
  private:
   struct Span {

@@ -62,8 +62,6 @@ class RddBase {
   virtual PartitionHandle Compute(TaskRt& rt, int p) = 0;
   /// Serialized size of a materialized partition (cache accounting).
   [[nodiscard]] virtual Bytes SizeOf(const PartitionHandle& data) const = 0;
-  [[nodiscard]] virtual std::uint64_t CountOf(
-      const PartitionHandle& data) const = 0;
   /// Input-source locality (node ids) for partition `p`.
   [[nodiscard]] virtual std::vector<int> PreferredNodes(int p) const {
     (void)p;
@@ -122,9 +120,6 @@ class TypedRdd : public RddBase {
   [[nodiscard]] Bytes SizeOf(const PartitionHandle& data) const final {
     const auto& vec = *std::static_pointer_cast<std::vector<T>>(data);
     return serde::EncodedSize(vec);
-  }
-  [[nodiscard]] std::uint64_t CountOf(const PartitionHandle& data) const final {
-    return std::static_pointer_cast<std::vector<T>>(data)->size();
   }
 };
 

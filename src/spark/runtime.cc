@@ -25,10 +25,6 @@ void ShuffleStore::Register(int shuffle_id, int num_maps, int num_reduces) {
   shuffles_.emplace(shuffle_id, std::move(shuffle));
 }
 
-bool ShuffleStore::IsRegistered(int shuffle_id) const {
-  return shuffles_.count(shuffle_id) > 0;
-}
-
 void ShuffleStore::PutMapOutput(int shuffle_id, int map_partition,
                                 MapOutput output) {
   auto it = shuffles_.find(shuffle_id);

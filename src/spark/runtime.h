@@ -111,7 +111,6 @@ class ShuffleStore {
 
   /// Declare a shuffle (idempotent).
   void Register(int shuffle_id, int num_maps, int num_reduces);
-  [[nodiscard]] bool IsRegistered(int shuffle_id) const;
 
   void PutMapOutput(int shuffle_id, int map_partition, MapOutput output);
   /// nullptr if that map output is absent (never computed or lost).
