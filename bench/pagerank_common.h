@@ -35,8 +35,8 @@ Result<PageRankRun> RunSparkPageRankBdb(const workloads::Graph& graph,
                                         const std::vector<double>& reference,
                                         const PageRankConfig& config);
 
-/// HiBench style: links re-read from text each iteration, no partitioner,
-/// no persist — the join shuffles the full link table every iteration.
+/// HiBench style: links parallelized once, but with no partitioner and no
+/// persist, so the join reshuffles the full link table every iteration.
 Result<PageRankRun> RunSparkPageRankHiBench(
     const workloads::Graph& graph, const std::vector<double>& reference,
     const PageRankConfig& config);
