@@ -71,6 +71,11 @@ void Comm::RawSend(int dest_local, int tag, const void* data, Bytes bytes,
   }
 }
 
+void Comm::RawSendModeled(int dest_local, int tag, Bytes modeled_bytes) {
+  endpoint().SendAsync(ctx_, GlobalRank(dest_local), tag, buf::Bytes(),
+                       modeled_bytes);
+}
+
 Bytes Comm::RawRecv(int src_local, int tag, void* data, Bytes max_bytes) {
   const int src = src_local < 0 ? net::kAnySource : GlobalRank(src_local);
   net::Message m = endpoint().Recv(ctx_, src, tag);
@@ -94,10 +99,9 @@ Bytes Comm::RawRecv(int src_local, int tag, void* data, Bytes max_bytes) {
 buf::Bytes Comm::RawRecvBytes(int src_local, int tag, Bytes expected_bytes) {
   const int src = src_local < 0 ? net::kAnySource : GlobalRank(src_local);
   net::Message m = endpoint().Recv(ctx_, src, tag);
-  PSTK_CHECK_MSG(m.payload.size() == expected_bytes,
-                 "collective size mismatch: got " << m.payload.size()
-                                                  << " bytes, expected "
-                                                  << expected_bytes);
+  PSTK_CHECK_MSG(m.size == expected_bytes, "collective size mismatch: got "
+                                               << m.size << " bytes, expected "
+                                               << expected_bytes);
   return std::move(m.payload);
 }
 

@@ -17,11 +17,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -112,16 +112,148 @@ class TypedRdd : public RddBase {
   using RddBase::RddBase;
   using Element = T;
 
-  virtual std::shared_ptr<std::vector<T>> ComputeTyped(TaskRt& rt, int p) = 0;
+  virtual Partition<T> ComputeTyped(TaskRt& rt, int p) = 0;
 
   PartitionHandle Compute(TaskRt& rt, int p) final {
     return ComputeTyped(rt, p);
   }
   [[nodiscard]] Bytes SizeOf(const PartitionHandle& data) const final {
-    const auto& vec = *std::static_pointer_cast<std::vector<T>>(data);
+    const auto& vec = *std::static_pointer_cast<const std::vector<T>>(data);
     return serde::EncodedSize(vec);
   }
 };
+
+// ===========================================================================
+// Per-task keyed tables
+// ===========================================================================
+
+/// One task's hash table: entries in first-seen order in one vector, and an
+/// open-addressing index of uint32 entry positions (linear probing, at
+/// most half full). The index is sized once from an upper bound on the
+/// distinct keys, the task's input count, so it never rehashes; the entry
+/// vector grows as keys arrive.
+template <typename K, typename V>
+class FlatTable {
+ public:
+  explicit FlatTable(std::size_t max_keys) {
+    PSTK_CHECK(max_keys < kEmpty / 2);
+    int bits = 1;
+    while ((std::size_t{1} << bits) < 2 * max_keys) ++bits;
+    shift_ = 64 - bits;
+    index_.assign(std::size_t{1} << bits, kEmpty);
+  }
+
+  /// The value stored under `key`, first inserted as `make()` if absent,
+  /// and whether it was inserted. `key` is only moved from on insertion.
+  template <typename Key, typename Make>
+  std::pair<V&, bool> TryEmplace(Key&& key, Make&& make) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t slot = Home(key);
+    for (; index_[slot] != kEmpty; slot = (slot + 1) & mask) {
+      std::pair<K, V>& entry = entries_[index_[slot]];
+      if (entry.first == key) return {entry.second, false};
+    }
+    PSTK_CHECK(2 * (entries_.size() + 1) <= index_.size());
+    entries_.emplace_back(std::forward<Key>(key), make());
+    index_[slot] = static_cast<std::uint32_t>(entries_.size() - 1);
+    return {entries_.back().second, true};
+  }
+
+  /// The value stored under `key`, or null.
+  [[nodiscard]] const V* Find(const K& key) const {
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t slot = Home(key); index_[slot] != kEmpty;
+         slot = (slot + 1) & mask) {
+      const std::pair<K, V>& entry = entries_[index_[slot]];
+      if (entry.first == key) return &entry.second;
+    }
+    return nullptr;
+  }
+
+  /// Every (key, value) in first-seen order.
+  [[nodiscard]] std::vector<std::pair<K, V>>& entries() { return entries_; }
+
+ private:
+  static constexpr std::uint32_t kEmpty =
+      std::numeric_limits<std::uint32_t>::max();
+
+  // Fibonacci hashing: std::hash of an integer is the integer itself, and
+  // one reduce partition's keys share their residue modulo the partition
+  // count, so the low bits alone would pile them into a few runs.
+  [[nodiscard]] std::size_t Home(const K& key) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(std::hash<K>{}(key)) *
+         0x9E3779B97F4A7C15ULL) >>
+        shift_);
+  }
+
+  std::vector<std::pair<K, V>> entries_;
+  std::vector<std::uint32_t> index_;
+  int shift_ = 63;
+};
+
+/// Inner join of one partition's two sides: for each left row in order,
+/// one output row per right row with its key, in arrival order. The right
+/// side is indexed by its first and last row per key plus a next link per
+/// row, with no per-key vector.
+template <typename K, typename V, typename W>
+std::vector<std::pair<K, std::pair<V, W>>> HashJoin(
+    const std::vector<std::pair<K, V>>& lhs,
+    const std::vector<std::pair<K, W>>& rhs) {
+  constexpr std::uint32_t kEnd = std::numeric_limits<std::uint32_t>::max();
+  struct Rows {
+    std::uint32_t first;
+    std::uint32_t last;
+    std::size_t count;
+  };
+  PSTK_CHECK(rhs.size() < kEnd);
+  FlatTable<K, Rows> index(rhs.size());
+  std::vector<std::uint32_t> next(rhs.size(), kEnd);
+  for (std::uint32_t j = 0; j < rhs.size(); ++j) {
+    auto [rows, inserted] =
+        index.TryEmplace(rhs[j].first, [j] { return Rows{j, j, 0}; });
+    if (!inserted) {
+      next[rows.last] = j;
+      rows.last = j;
+    }
+    ++rows.count;
+  }
+  std::vector<const Rows*> matches(lhs.size());
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < lhs.size(); ++i) {
+    matches[i] = index.Find(lhs[i].first);
+    if (matches[i] != nullptr) total += matches[i]->count;
+  }
+  std::vector<std::pair<K, std::pair<V, W>>> out;
+  out.reserve(total);
+  for (std::size_t i = 0; i < lhs.size(); ++i) {
+    if (matches[i] == nullptr) continue;
+    for (std::uint32_t j = matches[i]->first; j != kEnd; j = next[j]) {
+      out.emplace_back(lhs[i].first, std::pair{lhs[i].second, rhs[j].second});
+    }
+  }
+  return out;
+}
+
+/// Every record of a reduce partition's fetched buckets, in bucket order.
+template <typename Record>
+std::vector<Record> DecodeBuckets(const std::vector<buf::Bytes>& buffers) {
+  std::vector<std::vector<Record>> parts;
+  parts.reserve(buffers.size());
+  std::size_t total = 0;
+  for (const buf::Bytes& buffer : buffers) {
+    auto records = serde::DecodeFromBytes<std::vector<Record>>(buffer);
+    PSTK_CHECK_MSG(records.ok(), "corrupt shuffle bucket");
+    total += records.value().size();
+    parts.push_back(std::move(records.value()));
+  }
+  std::vector<Record> out;
+  out.reserve(total);
+  for (std::vector<Record>& part : parts) {
+    std::move(part.begin(), part.end(), std::back_inserter(out));
+  }
+  return out;
+}
 
 // ===========================================================================
 // Concrete nodes
@@ -130,40 +262,36 @@ class TypedRdd : public RddBase {
 template <typename T>
 class ParallelizeNode final : public TypedRdd<T> {
  public:
+  /// Cuts `data` into `slices` contiguous slices once; every evaluation of
+  /// a slice hands out the same read-only vector.
   ParallelizeNode(int id, std::vector<T> data, int slices)
-      : TypedRdd<T>(id, slices), data_(std::move(data)) {
-    ship_bytes_.assign(static_cast<std::size_t>(slices), 0);
+      : TypedRdd<T>(id, slices) {
+    const auto n = static_cast<std::int64_t>(data.size());
+    for (std::int64_t p = 0; p < slices; ++p) {
+      const auto lo = static_cast<std::ptrdiff_t>(n * p / slices);
+      const auto hi = static_cast<std::ptrdiff_t>(n * (p + 1) / slices);
+      auto slice = std::make_shared<const std::vector<T>>(
+          std::make_move_iterator(data.begin() + lo),
+          std::make_move_iterator(data.begin() + hi));
+      ship_bytes_.push_back(serde::EncodedSize(*slice));
+      slices_.push_back(std::move(slice));
+    }
   }
 
-  std::shared_ptr<std::vector<T>> ComputeTyped(TaskRt& rt, int p) override {
-    auto [lo, hi] = SliceRange(p);
-    auto out = std::make_shared<std::vector<T>>(data_.begin() + lo,
-                                                data_.begin() + hi);
-    rt.ChargeRecords(out->size(), 0);
-    return out;
+  Partition<T> ComputeTyped(TaskRt& rt, int p) override {
+    const Partition<T>& slice = slices_[static_cast<std::size_t>(p)];
+    rt.ChargeRecords(slice->size(), 0);
+    return slice;
   }
 
   [[nodiscard]] Bytes ExtraTaskShipBytes(int p) const override {
     // parallelize() ships the slice data inside the task binary.
-    auto& cached = ship_bytes_[static_cast<std::size_t>(p)];
-    if (cached == 0) {
-      auto [lo, hi] = const_cast<ParallelizeNode*>(this)->SliceRange(p);
-      std::vector<T> slice(data_.begin() + lo, data_.begin() + hi);
-      cached = serde::EncodedSize(slice);
-    }
-    return cached;
+    return ship_bytes_[static_cast<std::size_t>(p)];
   }
 
  private:
-  std::pair<std::ptrdiff_t, std::ptrdiff_t> SliceRange(int p) {
-    const auto n = static_cast<std::int64_t>(data_.size());
-    const auto k = static_cast<std::int64_t>(this->num_partitions());
-    const std::int64_t lo = n * p / k;
-    const std::int64_t hi = n * (p + 1) / k;
-    return {static_cast<std::ptrdiff_t>(lo), static_cast<std::ptrdiff_t>(hi)};
-  }
-  std::vector<T> data_;
-  mutable std::vector<Bytes> ship_bytes_;
+  std::vector<Partition<T>> slices_;
+  std::vector<Bytes> ship_bytes_;
 };
 
 class TextFileDfsNode final : public TypedRdd<std::string> {
@@ -175,8 +303,7 @@ class TextFileDfsNode final : public TypedRdd<std::string> {
         path_(std::move(path)),
         locations_(std::move(block_locations)) {}
 
-  std::shared_ptr<std::vector<std::string>> ComputeTyped(TaskRt& rt,
-                                                         int p) override {
+  Partition<std::string> ComputeTyped(TaskRt& rt, int p) override {
     auto block = rt.ReadDfsBlock(path_, static_cast<std::size_t>(p));
     PSTK_CHECK_MSG(block.ok(), "textFile read failed: "
                                    << block.status().ToString());
@@ -217,8 +344,7 @@ class TextFileLocalNode final : public TypedRdd<std::string> {
         actual_size_(actual_size),
         actual_split_(actual_split) {}
 
-  std::shared_ptr<std::vector<std::string>> ComputeTyped(TaskRt& rt,
-                                                         int p) override {
+  Partition<std::string> ComputeTyped(TaskRt& rt, int p) override {
     const Bytes lo = actual_split_ * static_cast<Bytes>(p);
     const Bytes hi =
         std::min(actual_size_, actual_split_ * static_cast<Bytes>(p + 1));
@@ -251,7 +377,7 @@ class MapNode final : public TypedRdd<U> {
     if (preserves_partitioning) this->partitioner = parent->partitioner;
   }
 
-  std::shared_ptr<std::vector<U>> ComputeTyped(TaskRt& rt, int p) override {
+  Partition<U> ComputeTyped(TaskRt& rt, int p) override {
     auto in = rt.EvaluateTyped<T>(*parent_, p);
     auto out = std::make_shared<std::vector<U>>();
     out->reserve(in->size());
@@ -276,7 +402,7 @@ class FlatMapNode final : public TypedRdd<U> {
     this->narrow_parents.push_back(parent);
   }
 
-  std::shared_ptr<std::vector<U>> ComputeTyped(TaskRt& rt, int p) override {
+  Partition<U> ComputeTyped(TaskRt& rt, int p) override {
     auto in = rt.EvaluateTyped<T>(*parent_, p);
     auto out = std::make_shared<std::vector<U>>();
     for (const T& item : *in) {
@@ -303,7 +429,7 @@ class FilterNode final : public TypedRdd<T> {
     this->partitioner = parent->partitioner;  // filter keeps partitioning
   }
 
-  std::shared_ptr<std::vector<T>> ComputeTyped(TaskRt& rt, int p) override {
+  Partition<T> ComputeTyped(TaskRt& rt, int p) override {
     auto in = rt.EvaluateTyped<T>(*parent_, p);
     auto out = std::make_shared<std::vector<T>>();
     for (const T& item : *in) {
@@ -331,7 +457,7 @@ class UnionNode final : public TypedRdd<T> {
     this->narrow_parents.push_back(right);
   }
 
-  std::shared_ptr<std::vector<T>> ComputeTyped(TaskRt& rt, int p) override {
+  Partition<T> ComputeTyped(TaskRt& rt, int p) override {
     if (p < left_->num_partitions()) {
       return rt.EvaluateTyped<T>(*left_, p);
     }
@@ -348,65 +474,48 @@ class UnionNode final : public TypedRdd<T> {
   std::shared_ptr<TypedRdd<T>> right_;
 };
 
-/// Map-side of a shuffle over pair<K, V>, producing combined values C.
-/// With `aggregate` false, C must equal V and values pass through raw.
+/// Map-side of a shuffle over pair<K, V>: either combines values into C
+/// per key first (aggregating), or passes the records through raw.
 template <typename K, typename V, typename C>
 class ShuffleDepImpl final : public ShuffleDepBase {
  public:
   using Parent = TypedRdd<std::pair<K, V>>;
+  /// Aggregating shuffle (map-side combine).
   ShuffleDepImpl(int shuffle_id, std::shared_ptr<Parent> parent,
-                 int num_reduces, bool aggregate,
-                 std::function<C(const V&)> create,
+                 int num_reduces, std::function<C(const V&)> create,
                  std::function<C(C, const V&)> merge_value)
       : ShuffleDepBase(shuffle_id, parent, num_reduces),
         typed_parent_(std::move(parent)),
-        aggregate_(aggregate),
         create_(std::move(create)),
         merge_value_(std::move(merge_value)) {}
+  /// Raw pass-through shuffle.
+  ShuffleDepImpl(int shuffle_id, std::shared_ptr<Parent> parent,
+                 int num_reduces)
+      : ShuffleDepBase(shuffle_id, parent, num_reduces),
+        typed_parent_(std::move(parent)) {
+    static_assert(std::is_same_v<V, C>, "a raw shuffle passes values as is");
+  }
 
   std::vector<buf::Bytes> RunMapTask(TaskRt& rt, int p) override {
     auto in = rt.EvaluateTyped<std::pair<K, V>>(*typed_parent_, p);
-    const int R = num_reduces();
     std::vector<buf::Bytes> buckets;
-    buckets.reserve(static_cast<std::size_t>(R));
-    Bytes total = 0;
-    if (aggregate_) {
-      // Map-side combine: aggregate into a single hash map first (one
-      // insert per record), then partition the much smaller combined set.
-      // Hashing each key once beats per-bucket maps: the old layout paid a
-      // partition hash plus a map hash per input record.
-      std::unordered_map<K, C> combined;
-      combined.reserve(in->size());
-      for (const auto& [key, value] : *in) {
-        auto it = combined.find(key);
-        if (it == combined.end()) {
-          combined.emplace(key, create_(value));
-        } else {
-          it->second = merge_value_(std::move(it->second), value);
+    if (create_ != nullptr) {
+      // Map-side combine in input order, then bucket the combined set.
+      FlatTable<K, C> combined(in->size());
+      for (const std::pair<K, V>& record : *in) {
+        auto [combiner, inserted] = combined.TryEmplace(
+            record.first, [&] { return create_(record.second); });
+        if (!inserted) {
+          combiner = merge_value_(std::move(combiner), record.second);
         }
       }
-      std::vector<std::vector<std::pair<K, C>>> lists(
-          static_cast<std::size_t>(R));
-      for (auto& [key, combiner] : combined) {
-        lists[BucketOf(key, R)].emplace_back(key, std::move(combiner));
-      }
-      for (auto& list : lists) {
-        buckets.push_back(serde::EncodeToBytes(list));
-        total += buckets.back().size();
-      }
-      rt.ChargeSerde(in->size(), total);
+      buckets = EncodeBuckets(combined.entries());
     } else {
-      std::vector<std::vector<std::pair<K, C>>> lists(
-          static_cast<std::size_t>(R));
-      for (const auto& [key, value] : *in) {
-        lists[BucketOf(key, R)].emplace_back(key, create_(value));
-      }
-      for (auto& list : lists) {
-        buckets.push_back(serde::EncodeToBytes(list));
-        total += buckets.back().size();
-      }
-      rt.ChargeSerde(in->size(), total);
+      buckets = EncodeBuckets(*in);
     }
+    Bytes total = 0;
+    for (const buf::Bytes& bucket : buckets) total += bucket.size();
+    rt.ChargeSerde(in->size(), total);
     return buckets;
   }
 
@@ -415,68 +524,81 @@ class ShuffleDepImpl final : public ShuffleDepBase {
   }
 
  private:
+  // One bucket per reduce partition, each encoded straight into a writer
+  // pre-sized to its exact size: the bytes equal EncodeToBytes of the
+  // bucket's records in order, and the stored bucket carries no slack.
+  template <typename Record>
+  std::vector<buf::Bytes> EncodeBuckets(
+      const std::vector<Record>& records) const {
+    const auto reduces = static_cast<std::size_t>(num_reduces());
+    std::vector<std::uint32_t> bucket_of(records.size());
+    std::vector<std::size_t> counts(reduces, 0);
+    std::vector<std::size_t> sizes(reduces, 0);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const std::size_t b = BucketOf(records[i].first, num_reduces());
+      bucket_of[i] = static_cast<std::uint32_t>(b);
+      ++counts[b];
+      sizes[b] += serde::EncodedSize(records[i]);
+    }
+    std::vector<serde::Writer> writers(reduces);
+    for (std::size_t b = 0; b < reduces; ++b) {
+      writers[b].Reserve(serde::VarintLen(counts[b]) + sizes[b]);
+      writers[b].WriteVarint(counts[b]);
+    }
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      serde::Encode(writers[bucket_of[i]], records[i]);
+    }
+    std::vector<buf::Bytes> buckets;
+    buckets.reserve(reduces);
+    for (serde::Writer& writer : writers) buckets.push_back(writer.TakeBytes());
+    return buckets;
+  }
+
   std::shared_ptr<Parent> typed_parent_;
-  bool aggregate_;
-  std::function<C(const V&)> create_;
+  std::function<C(const V&)> create_;  // null for a raw shuffle
   std::function<C(C, const V&)> merge_value_;
 };
 
-/// Reduce-side of a shuffle: fetch buckets and merge into pair<K, C>.
+/// Reduce-side of a shuffle: fetch buckets and merge into pair<K, C>. An
+/// aggregating shuffle's partition holds its keys in first-seen order;
+/// callers must not rely on that order.
 template <typename K, typename C>
 class ShuffledNode final : public TypedRdd<std::pair<K, C>> {
  public:
-  ShuffledNode(int id, std::shared_ptr<ShuffleDepBase> dep, bool aggregate,
+  /// `merge_combiners` is null for a raw shuffle.
+  ShuffledNode(int id, std::shared_ptr<ShuffleDepBase> dep,
                std::function<C(C, C)> merge_combiners)
       : TypedRdd<std::pair<K, C>>(id, dep->num_reduces()),
-        aggregate_(aggregate),
         merge_combiners_(std::move(merge_combiners)) {
     this->shuffle_deps.push_back(std::move(dep));
     this->partitioner = this->num_partitions();
   }
 
-  std::shared_ptr<std::vector<std::pair<K, C>>> ComputeTyped(
-      TaskRt& rt, int p) override {
+  Partition<std::pair<K, C>> ComputeTyped(TaskRt& rt, int p) override {
     const auto buffers =
         rt.FetchShuffle(this->shuffle_deps[0]->shuffle_id(), p);
-    auto out = std::make_shared<std::vector<std::pair<K, C>>>();
     Bytes fetched_bytes = 0;
     for (const buf::Bytes& buffer : buffers) fetched_bytes += buffer.size();
-    if (aggregate_) {
-      std::unordered_map<K, C> merged;
-      std::uint64_t records = 0;
-      for (const buf::Bytes& buffer : buffers) {
-        auto kvs =
-            serde::DecodeFromBytes<std::vector<std::pair<K, C>>>(buffer);
-        PSTK_CHECK_MSG(kvs.ok(), "corrupt shuffle bucket");
-        records += kvs.value().size();
-        for (auto& [key, combiner] : kvs.value()) {
-          auto it = merged.find(key);
-          if (it == merged.end()) {
-            merged.emplace(std::move(key), std::move(combiner));
-          } else {
-            it->second =
-                merge_combiners_(std::move(it->second), std::move(combiner));
-          }
-        }
-      }
-      out->assign(merged.begin(), merged.end());
-      rt.ChargeSerde(records, fetched_bytes);
-    } else {
-      std::uint64_t records = 0;
-      for (const buf::Bytes& buffer : buffers) {
-        auto kvs =
-            serde::DecodeFromBytes<std::vector<std::pair<K, C>>>(buffer);
-        PSTK_CHECK_MSG(kvs.ok(), "corrupt shuffle bucket");
-        records += kvs.value().size();
-        for (auto& kv : kvs.value()) out->push_back(std::move(kv));
-      }
-      rt.ChargeSerde(records, fetched_bytes);
+    auto records = DecodeBuckets<std::pair<K, C>>(buffers);
+    rt.ChargeSerde(records.size(), fetched_bytes);
+    if (merge_combiners_ == nullptr) {
+      return std::make_shared<const std::vector<std::pair<K, C>>>(
+          std::move(records));
     }
-    return out;
+    FlatTable<K, C> merged(records.size());
+    for (std::pair<K, C>& record : records) {
+      auto [combiner, inserted] = merged.TryEmplace(
+          std::move(record.first), [&] { return std::move(record.second); });
+      if (!inserted) {
+        combiner =
+            merge_combiners_(std::move(combiner), std::move(record.second));
+      }
+    }
+    return std::make_shared<const std::vector<std::pair<K, C>>>(
+        std::move(merged.entries()));
   }
 
  private:
-  bool aggregate_;
   std::function<C(C, C)> merge_combiners_;
 };
 
@@ -496,19 +618,12 @@ class NarrowJoinNode final : public TypedRdd<std::pair<K, std::pair<V, W>>> {
     this->partitioner = left->partitioner;
   }
 
-  std::shared_ptr<std::vector<std::pair<K, std::pair<V, W>>>> ComputeTyped(
-      TaskRt& rt, int p) override {
+  Partition<std::pair<K, std::pair<V, W>>> ComputeTyped(TaskRt& rt,
+                                                        int p) override {
     auto lhs = rt.EvaluateTyped<std::pair<K, V>>(*left_, p);
     auto rhs = rt.EvaluateTyped<std::pair<K, W>>(*right_, p);
-    std::unordered_map<K, std::vector<W>> table;
-    for (const auto& [key, w] : *rhs) table[key].push_back(w);
-    auto out =
-        std::make_shared<std::vector<std::pair<K, std::pair<V, W>>>>();
-    for (const auto& [key, v] : *lhs) {
-      auto it = table.find(key);
-      if (it == table.end()) continue;
-      for (const W& w : it->second) out->emplace_back(key, std::pair{v, w});
-    }
+    auto out = std::make_shared<const std::vector<std::pair<K, std::pair<V, W>>>>(
+        HashJoin(*lhs, *rhs));
     rt.ChargeRecords(lhs->size() + rhs->size() + out->size(), 0);
     return out;
   }
@@ -533,32 +648,15 @@ class ShuffledJoinNode final
     this->partitioner = this->num_partitions();
   }
 
-  std::shared_ptr<std::vector<std::pair<K, std::pair<V, W>>>> ComputeTyped(
-      TaskRt& rt, int p) override {
-    std::vector<std::pair<K, V>> lhs;
-    std::vector<std::pair<K, W>> rhs;
-    std::uint64_t records = 0;
-    for (const buf::Bytes& buffer : rt.FetchShuffle(left_id_, p)) {
-      auto kvs = serde::DecodeFromBytes<std::vector<std::pair<K, V>>>(buffer);
-      PSTK_CHECK_MSG(kvs.ok(), "corrupt join bucket");
-      for (auto& kv : kvs.value()) lhs.push_back(std::move(kv));
-    }
-    for (const buf::Bytes& buffer : rt.FetchShuffle(right_id_, p)) {
-      auto kvs = serde::DecodeFromBytes<std::vector<std::pair<K, W>>>(buffer);
-      PSTK_CHECK_MSG(kvs.ok(), "corrupt join bucket");
-      for (auto& kv : kvs.value()) rhs.push_back(std::move(kv));
-    }
-    records += lhs.size() + rhs.size();
-    std::unordered_map<K, std::vector<W>> table;
-    for (auto& [key, w] : rhs) table[key].push_back(std::move(w));
-    auto out =
-        std::make_shared<std::vector<std::pair<K, std::pair<V, W>>>>();
-    for (const auto& [key, v] : lhs) {
-      auto it = table.find(key);
-      if (it == table.end()) continue;
-      for (const W& w : it->second) out->emplace_back(key, std::pair{v, w});
-    }
-    rt.ChargeRecords(records + out->size(), 0);
+  Partition<std::pair<K, std::pair<V, W>>> ComputeTyped(TaskRt& rt,
+                                                        int p) override {
+    const auto lhs =
+        DecodeBuckets<std::pair<K, V>>(rt.FetchShuffle(left_id_, p));
+    const auto rhs =
+        DecodeBuckets<std::pair<K, W>>(rt.FetchShuffle(right_id_, p));
+    auto out = std::make_shared<const std::vector<std::pair<K, std::pair<V, W>>>>(
+        HashJoin(lhs, rhs));
+    rt.ChargeRecords(lhs.size() + rhs.size() + out->size(), 0);
     return out;
   }
 

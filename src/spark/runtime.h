@@ -90,8 +90,13 @@ struct SparkOptions {
   std::string name = "spark";
 };
 
-/// Type-erased materialized partition (points to a std::vector<T>).
-using PartitionHandle = std::shared_ptr<void>;
+/// Type-erased materialized partition (points to a std::vector<T>). It is
+/// read-only: one computed partition may serve several readers (the cache,
+/// every evaluation of a parallelize() slice).
+using PartitionHandle = std::shared_ptr<const void>;
+/// A materialized partition of element type T.
+template <typename T>
+using Partition = std::shared_ptr<const std::vector<T>>;
 
 /// Thrown by a task when shuffle outputs it needs are gone (executor died).
 /// The driver reruns the owning map stage.

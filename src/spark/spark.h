@@ -359,22 +359,20 @@ class PairRdd {
   PairRdd<K, V> ReduceByKey(std::function<V(V, V)> fn,
                             int num_partitions = 0) const {
     const int reduces = ResolveParts(num_partitions);
-    auto merge2 = fn;
     auto dep = std::make_shared<ShuffleDepImpl<K, V, V>>(
-        sc_->NewShuffleId(), node_, reduces, /*aggregate=*/true,
-        [](const V& v) { return v; },
+        sc_->NewShuffleId(), node_, reduces, [](const V& v) { return v; },
         [fn](V acc, const V& v) { return fn(std::move(acc), v); });
     sc_->RegisterShuffle(dep->shuffle_id(), node_->num_partitions(), reduces);
     auto shuffled = std::make_shared<ShuffledNode<K, V>>(
-        sc_->NewRddId(), dep, /*aggregate=*/true,
-        [merge2](V a, V b) { return merge2(std::move(a), std::move(b)); });
+        sc_->NewRddId(), dep,
+        [fn](V a, V b) { return fn(std::move(a), std::move(b)); });
     return PairRdd<K, V>(sc_, shuffled);
   }
 
   PairRdd<K, std::vector<V>> GroupByKey(int num_partitions = 0) const {
     const int reduces = ResolveParts(num_partitions);
     auto dep = std::make_shared<ShuffleDepImpl<K, V, std::vector<V>>>(
-        sc_->NewShuffleId(), node_, reduces, /*aggregate=*/true,
+        sc_->NewShuffleId(), node_, reduces,
         [](const V& v) { return std::vector<V>{v}; },
         [](std::vector<V> acc, const V& v) {
           acc.push_back(v);
@@ -382,8 +380,7 @@ class PairRdd {
         });
     sc_->RegisterShuffle(dep->shuffle_id(), node_->num_partitions(), reduces);
     auto shuffled = std::make_shared<ShuffledNode<K, std::vector<V>>>(
-        sc_->NewRddId(), dep, /*aggregate=*/true,
-        [](std::vector<V> a, std::vector<V> b) {
+        sc_->NewRddId(), dep, [](std::vector<V> a, std::vector<V> b) {
           for (auto& v : b) a.push_back(std::move(v));
           return a;
         });
@@ -394,13 +391,11 @@ class PairRdd {
   /// narrow joins downstream — the BigDataBench PageRank tuning).
   PairRdd<K, V> PartitionBy(int num_partitions) const {
     auto dep = std::make_shared<ShuffleDepImpl<K, V, V>>(
-        sc_->NewShuffleId(), node_, num_partitions, /*aggregate=*/false,
-        [](const V& v) { return v; },
-        [](V acc, const V&) { return acc; });
+        sc_->NewShuffleId(), node_, num_partitions);
     sc_->RegisterShuffle(dep->shuffle_id(), node_->num_partitions(),
                          num_partitions);
-    auto shuffled = std::make_shared<ShuffledNode<K, V>>(
-        sc_->NewRddId(), dep, /*aggregate=*/false, [](V a, V) { return a; });
+    auto shuffled = std::make_shared<ShuffledNode<K, V>>(sc_->NewRddId(), dep,
+                                                         /*merge=*/nullptr);
     return PairRdd<K, V>(sc_, shuffled);
   }
 
@@ -417,13 +412,11 @@ class PairRdd {
     }
     const int reduces = ResolveParts(num_partitions);
     auto left_dep = std::make_shared<ShuffleDepImpl<K, V, V>>(
-        sc_->NewShuffleId(), node_, reduces, /*aggregate=*/false,
-        [](const V& v) { return v; }, [](V acc, const V&) { return acc; });
+        sc_->NewShuffleId(), node_, reduces);
     sc_->RegisterShuffle(left_dep->shuffle_id(), node_->num_partitions(),
                          reduces);
     auto right_dep = std::make_shared<ShuffleDepImpl<K, W, W>>(
-        sc_->NewShuffleId(), other.node(), reduces, /*aggregate=*/false,
-        [](const W& w) { return w; }, [](W acc, const W&) { return acc; });
+        sc_->NewShuffleId(), other.node(), reduces);
     sc_->RegisterShuffle(right_dep->shuffle_id(),
                          other.node()->num_partitions(), reduces);
     auto joined = std::make_shared<ShuffledJoinNode<K, V, W>>(

@@ -44,8 +44,8 @@ class TaskRt {
   PartitionHandle Evaluate(RddBase& rdd, int p);
 
   template <typename T>
-  std::shared_ptr<std::vector<T>> EvaluateTyped(RddBase& rdd, int p) {
-    return std::static_pointer_cast<std::vector<T>>(Evaluate(rdd, p));
+  Partition<T> EvaluateTyped(RddBase& rdd, int p) {
+    return std::static_pointer_cast<const std::vector<T>>(Evaluate(rdd, p));
   }
 
   /// Fetch every map output bucket for `reduce_partition`, charging

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -8,6 +11,8 @@
 #include "cluster/cluster.h"
 #include "mpi/mpi.h"
 #include "sim/engine.h"
+#include "sim/fault.h"
+#include "verify/verify.h"
 
 namespace pstk::mpi {
 namespace {
@@ -170,6 +175,176 @@ TEST(MpiTest, AllreduceMaxOperator) {
   });
   ASSERT_TRUE(t.ok());
   for (int r = 0; r < 5; ++r) EXPECT_EQ(results[r], 4);
+}
+
+// A serial model of Allreduce's recursive-doubling tree: fold the surplus
+// pairs, then run the hops, the lower-rank subtree first at every node.
+template <typename T, typename Op>
+std::vector<T> AllreduceTreeModel(const std::vector<std::vector<T>>& inputs,
+                                  Op op) {
+  const int n = static_cast<int>(inputs.size());
+  int pof2 = 1;
+  while (pof2 * 2 <= n) pof2 *= 2;
+  const int rem = n - pof2;
+  auto combine = [&](std::vector<T> low, const std::vector<T>& high) {
+    for (std::size_t i = 0; i < low.size(); ++i) low[i] = op(low[i], high[i]);
+    return low;
+  };
+  std::vector<std::vector<T>> held(static_cast<std::size_t>(pof2));
+  for (int nr = 0; nr < pof2; ++nr) {
+    held[nr] = nr < rem ? combine(inputs[2 * nr], inputs[2 * nr + 1])
+                        : inputs[nr + rem];
+  }
+  for (int mask = 1; mask < pof2; mask <<= 1) {
+    for (int nr = 0; nr < pof2; nr += 2 * mask) {
+      held[nr] = combine(held[nr], held[nr + mask]);
+    }
+  }
+  return held[0];
+}
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+// Sums that depend on association order: a 1 vanishes next to ±1e16
+// unless it first meets another small term.
+std::vector<double> OrderSensitiveDoubles(int rank) {
+  constexpr double kTerms[] = {1e16, 1.0, -1e16, 1.0, 3.0, -1e16, 1e16};
+  std::vector<double> values;
+  for (int i = 0; i < 5; ++i) values.push_back(kTerms[(rank * 3 + i) % 7]);
+  return values;
+}
+
+std::vector<std::int64_t> MixedInts(int rank) {
+  return {(rank * 7) % 11 - 5, (rank * 5) % 13, -rank, rank % 3};
+}
+
+// Each rank's clock after the three calls below, pinned from the
+// implementation that sent every hop's data as the message payload: the
+// shared tree must not move virtual time.
+const std::map<int, std::vector<double>>& PinnedAllreduceClocks() {
+  static const std::map<int, std::vector<double>> clocks = {
+      {1, {0.80000000000000004}},
+      {2, {0.80000211332499993, 0.80000211332499993}},
+      {3, {0.80000573964999966, 0.8000052396499997, 0.8000052356499997}},
+      {5,
+       {0.80001054215740686, 0.8000100421574069, 0.80001033492314755,
+        0.80000963815740689, 0.80001054228240687}},
+      {6,
+       {0.80001054215740686, 0.8000100421574069, 0.80001054808333283,
+        0.80001004808333287, 0.80001054228240687, 0.80001054820833284}},
+      {7,
+       {0.80001245538240673, 0.80001195538240677, 0.80001265538240673,
+        0.80001215538240678, 0.80001265538240673, 0.80001215538240678,
+        0.80001175138240677}},
+      {8,
+       {0.80001054238240688, 0.80001054830833285, 0.80001055423425882,
+        0.80001056016018479, 0.80001054238240688, 0.80001054830833285,
+        0.80001055423425882, 0.80001056016018479}},
+      {12,
+       {0.80001466108888797, 0.80001416108888801, 0.80001467057036935,
+        0.80001417057036939, 0.80001466245925856, 0.8000141624592586,
+        0.80001467431111051, 0.80001417431111055, 0.8000154572740733,
+        0.80001546912592525, 0.80001546319999928, 0.80001547505185122}},
+      {13,
+       {0.80001805881573984, 0.80001755881573988, 0.80001965955648047,
+        0.80001915955648051, 0.80001785881573984, 0.80001735881573988,
+        0.80001897111481379, 0.80001847111481383, 0.80001897342222117,
+        0.80001847342222121, 0.80001806711481382, 0.80001826468148052,
+        0.80001806468148051}},
+  };
+  return clocks;
+}
+
+class AllreduceTree : public ::testing::TestWithParam<int> {};
+
+TEST_P(AllreduceTree, EveryRankGetsTheTreeResultBitForBit) {
+  const int nranks = GetParam();
+  MpiFixture f(4);
+  World world(*f.cluster, nranks, 4);
+  std::vector<std::vector<double>> sums(nranks);
+  std::vector<std::vector<std::int64_t>> maxes(nranks);
+  std::vector<std::vector<std::int64_t>> mins(nranks);
+  std::vector<double> clocks(nranks, -1);
+  auto t = world.RunSpmd([&](Comm& comm) {
+    const int r = comm.rank();
+    const std::vector<double> doubles = OrderSensitiveDoubles(r);
+    const std::vector<std::int64_t> ints = MixedInts(r);
+    sums[r].resize(doubles.size());
+    maxes[r].resize(ints.size());
+    mins[r].resize(ints.size());
+    comm.Allreduce<double>(doubles, sums[r]);
+    comm.Allreduce<std::int64_t, OpMax<std::int64_t>>(ints, maxes[r]);
+    comm.Allreduce<std::int64_t, OpMin<std::int64_t>>(ints, mins[r]);
+    clocks[r] = comm.ctx().now();
+  });
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+
+  std::vector<std::vector<double>> double_inputs;
+  std::vector<std::vector<std::int64_t>> int_inputs;
+  for (int r = 0; r < nranks; ++r) {
+    double_inputs.push_back(OrderSensitiveDoubles(r));
+    int_inputs.push_back(MixedInts(r));
+  }
+  const auto sum = AllreduceTreeModel(double_inputs, OpSum<double>{});
+  const auto max = AllreduceTreeModel(int_inputs, OpMax<std::int64_t>{});
+  const auto min = AllreduceTreeModel(int_inputs, OpMin<std::int64_t>{});
+  for (int r = 0; r < nranks; ++r) {
+    EXPECT_EQ(Bits(sums[r]), Bits(sum)) << "rank " << r;
+    EXPECT_EQ(maxes[r], max) << "rank " << r;
+    EXPECT_EQ(mins[r], min) << "rank " << r;
+  }
+  EXPECT_EQ(clocks, PinnedAllreduceClocks().at(nranks));
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, AllreduceTree,
+                         ::testing::Values(1, 2, 3, 5, 6, 7, 8, 12, 13));
+
+TEST(MpiTest, AllreduceTreeIsOrderSensitive) {
+  // The data above would hide a wrong tree if any order gave the same sum.
+  std::vector<std::vector<double>> inputs;
+  for (int r = 0; r < 13; ++r) inputs.push_back(OrderSensitiveDoubles(r));
+  std::vector<double> left_fold = inputs[0];
+  for (int r = 1; r < 13; ++r) {
+    for (std::size_t i = 0; i < left_fold.size(); ++i) {
+      left_fold[i] += inputs[r][i];
+    }
+  }
+  EXPECT_NE(Bits(AllreduceTreeModel(inputs, OpSum<double>{})),
+            Bits(left_fold));
+}
+
+TEST(MpiTest, AllreduceSurvivesARankKilledBeforeItsPartnerCombines) {
+  // Rank 1 sends its first-hop message at t=0.8 s and dies at 0.8005 s,
+  // before rank 0, its partner, receives it: 8 MiB take over 1 ms on FDR
+  // InfiniBand. Rank 0 still folds rank 1's contribution in, since the
+  // tree holds a copy and never the dead rank's own buffer (ASan would
+  // catch that). Rank 3 waits forever for rank 1 at the second hop, so the
+  // job aborts with the one deadlock warning it reported before the tree
+  // was shared.
+  MpiFixture f(4);
+  f.engine.verify().Enable();
+  World world(*f.cluster, 4, 1);
+  const auto plan = sim::FaultPlan::Parse("node:1@0.8005");
+  ASSERT_TRUE(plan.ok());
+  f.cluster->ApplyFaultPlan(plan.value());
+  std::vector<double> firsts(4, -1);
+  auto t = world.RunSpmd([&](Comm& comm) {
+    const std::vector<double> data(std::size_t{1} << 20, comm.rank() + 1.0);
+    std::vector<double> out(data.size());
+    comm.Allreduce<double>(data, out);
+    firsts[comm.rank()] = out.front();
+  });
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kAborted);
+  EXPECT_EQ(firsts, (std::vector<double>{10.0, -1, 10.0, -1}));
+  const verify::Hub& hub = f.engine.verify();
+  ASSERT_EQ(hub.findings().size(), 1u) << hub.RenderReport();
+  EXPECT_EQ(hub.findings()[0].code, "sim-deadlock");
+  EXPECT_EQ(hub.error_count(), 0u);
 }
 
 TEST(MpiTest, GatherCollectsInRankOrder) {

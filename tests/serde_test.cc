@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "serde/serde.h"
 
 namespace pstk::serde {
@@ -149,6 +150,72 @@ TEST_P(SerdeSweep, RandomKvVectorsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SerdeSweep,
                          ::testing::Values(0, 1, 2, 16, 100, 1000));
+
+// Seeded mutations of encoded shuffle buckets: truncated, bit-flipped and
+// spliced buffers. Each decode must return a value or a non-OK Status,
+// never abort or read out of bounds (the ASan leg checks the latter).
+template <typename T>
+void DecodeMutations(const std::vector<Buffer>& corpus, Rng& rng) {
+  constexpr int kCases = 1500;
+  int rejected = 0;
+  for (int c = 0; c < kCases; ++c) {
+    Buffer bytes = corpus[rng.Below(corpus.size())];
+    switch (rng.Below(3)) {
+      case 0:
+        bytes.resize(rng.Below(bytes.size() + 1));
+        break;
+      case 1:
+        for (std::uint64_t k = 1 + rng.Below(4); k > 0; --k) {
+          bytes[rng.Below(bytes.size())] ^=
+              static_cast<std::uint8_t>(1U << rng.Below(8));
+        }
+        break;
+      default: {
+        const Buffer& other = corpus[rng.Below(corpus.size())];
+        bytes.resize(rng.Below(bytes.size() + 1));
+        bytes.insert(bytes.end(), other.begin() + static_cast<std::ptrdiff_t>(
+                                                      rng.Below(other.size())),
+                     other.end());
+        break;
+      }
+    }
+    if (!DecodeFromBytes<T>(buf::Bytes::FromVector(std::move(bytes))).ok()) {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur, so the mutations reach past the first byte.
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, kCases);
+}
+
+TEST(SerdeTest, ShuffleDecodersSurviveSeededMutations) {
+  Rng rng(23);
+  std::vector<Buffer> adjacency;
+  std::vector<Buffer> ranks;
+  std::vector<Buffer> strings;
+  for (int b = 0; b < 8; ++b) {
+    std::vector<std::pair<long, std::vector<long>>> links;
+    std::vector<std::pair<long, double>> contribs;
+    std::vector<std::pair<std::string, std::string>> words;
+    for (std::uint64_t i = 1 + rng.Below(40); i > 0; --i) {
+      std::vector<long> targets(rng.Below(12));
+      for (long& t : targets) t = static_cast<long>(rng.Below(1 << 20));
+      links.emplace_back(static_cast<long>(rng.Next()), std::move(targets));
+      contribs.emplace_back(static_cast<long>(rng.Below(1000)),
+                            rng.Uniform());
+      words.emplace_back(std::string(rng.Below(20), 'k'),
+                         std::string(rng.Below(200), 'v'));
+    }
+    adjacency.push_back(EncodeToBuffer(links));
+    ranks.push_back(EncodeToBuffer(contribs));
+    strings.push_back(EncodeToBuffer(words));
+  }
+  DecodeMutations<std::vector<std::pair<long, std::vector<long>>>>(adjacency,
+                                                                   rng);
+  DecodeMutations<std::vector<std::pair<long, double>>>(ranks, rng);
+  DecodeMutations<std::vector<std::pair<std::string, std::string>>>(strings,
+                                                                    rng);
+}
 
 }  // namespace
 }  // namespace pstk::serde

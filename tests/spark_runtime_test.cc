@@ -15,7 +15,7 @@ PartitionHandle MakeData(int marker) {
 }
 
 int MarkerOf(const BlockStore::Block* block) {
-  return (*std::static_pointer_cast<std::vector<int>>(block->data))[0];
+  return (*std::static_pointer_cast<const std::vector<int>>(block->data))[0];
 }
 
 BlockStore::Block MakeBlock(int marker, Bytes size, StorageLevel level) {

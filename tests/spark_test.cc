@@ -576,5 +576,121 @@ TEST(SparkTest, DataPlaneTraceIsDeterministic) {
   EXPECT_EQ(first, run());
 }
 
+TEST(SparkTest, JoinPairsLeftOrderTimesRightArrivalOrder) {
+  // Duplicate keys on both sides. One reduce partition, so each side
+  // arrives in slice order = data order; the narrow path joins the
+  // PartitionBy(1) outputs, which keep that order too.
+  using K = std::int64_t;
+  const std::vector<std::pair<K, std::string>> left{
+      {1, "a"}, {2, "b"}, {1, "c"}, {3, "d"}, {1, "e"}, {5, "f"}};
+  const std::vector<std::pair<K, std::int64_t>> right{
+      {1, 10}, {3, 30}, {1, 11}, {2, 20}, {1, 12}, {4, 40}, {3, 31}};
+  std::vector<std::pair<K, std::pair<std::string, std::int64_t>>> expected;
+  for (const auto& [key, v] : left) {
+    for (const auto& [rkey, w] : right) {
+      if (rkey == key) expected.emplace_back(key, std::pair{v, w});
+    }
+  }
+  ASSERT_EQ(expected.size(), 12u);
+  SparkFixture f;
+  auto result = f.spark->RunApp([&](SparkContext& sc) {
+    auto l = sc.Parallelize(left, 3).AsPairs<K, std::string>();
+    auto r = sc.Parallelize(right, 2).AsPairs<K, std::int64_t>();
+    auto shuffled = l.Join(r, /*num_partitions=*/1).Collect();
+    ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
+    EXPECT_EQ(shuffled.value(), expected);
+    auto narrow = l.PartitionBy(1).Join(r.PartitionBy(1)).Collect();
+    ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+    EXPECT_EQ(narrow.value(), expected);
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+}
+
+TEST(SparkTest, ReduceByKeyOverManyStringKeysMatchesAMap) {
+  // 120k distinct keys land in one reduce partition, so its table and
+  // entry vector grow far past their first allocation.
+  constexpr int kKeys = 120000;
+  std::vector<std::pair<std::string, std::int64_t>> data;
+  std::map<std::string, std::int64_t> oracle;
+  for (int i = 0; i < 3 * kKeys / 2; ++i) {
+    std::string key = "key-" + std::to_string((i * 7919) % kKeys);
+    oracle[key] += i;
+    data.emplace_back(std::move(key), i);
+  }
+  SparkFixture f;
+  auto result = f.spark->RunApp([&](SparkContext& sc) {
+    auto reduced =
+        sc.Parallelize(std::move(data), 4)
+            .AsPairs<std::string, std::int64_t>()
+            .ReduceByKey([](std::int64_t a, std::int64_t b) { return a + b; },
+                         /*num_partitions=*/1);
+    auto got = reduced.CollectAsMap();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), oracle);
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+}
+
+TEST(SparkTest, GroupByKeyKeepsMapPartitionThenInputOrder) {
+  // A permutation, so input order is neither sorted nor reversed.
+  std::vector<std::pair<std::int64_t, std::int64_t>> data;
+  for (std::int64_t j = 0; j < 100; ++j) {
+    const std::int64_t v = (37 * j) % 100;
+    data.emplace_back(v % 5, v);
+  }
+  std::map<std::int64_t, std::vector<std::int64_t>> expected;
+  for (const auto& [key, v] : data) expected[key].push_back(v);
+  SparkFixture f;
+  auto result = f.spark->RunApp([&](SparkContext& sc) {
+    auto grouped = sc.Parallelize(data, 4)
+                       .AsPairs<std::int64_t, std::int64_t>()
+                       .GroupByKey(/*num_partitions=*/3);
+    auto got = grouped.CollectAsMap();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), expected);
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+}
+
+TEST(SparkTest, RawShuffleBucketsEncodeLikeTheirRecordLists) {
+  // Each map output bucket of a pass-through shuffle must hold exactly
+  // EncodeToBytes of its records in input order.
+  using Record = std::pair<std::int64_t, std::vector<std::int64_t>>;
+  std::vector<Record> data;
+  for (std::int64_t i = 0; i < 300; ++i) {
+    std::vector<std::int64_t> adjacency;
+    for (std::int64_t e = 0; e < i % 9; ++e) adjacency.push_back(i * 31 + e);
+    data.emplace_back((i * 13) % 97, std::move(adjacency));
+  }
+  constexpr int kSlices = 3;
+  constexpr int kReduces = 5;
+  SparkFixture f;
+  auto result = f.spark->RunApp([&](SparkContext& sc) {
+    auto partitioned = sc.Parallelize(data, kSlices)
+                           .AsPairs<std::int64_t, std::vector<std::int64_t>>()
+                           .PartitionBy(kReduces);
+    ASSERT_TRUE(partitioned.Count().ok());
+    const int shuffle = partitioned.node()->shuffle_deps[0]->shuffle_id();
+    for (int m = 0; m < kSlices; ++m) {
+      const ShuffleStore::MapOutput* output =
+          sc.app().shuffle_store.GetMapOutput(shuffle, m);
+      ASSERT_NE(output, nullptr);
+      ASSERT_EQ(output->buckets.size(), static_cast<std::size_t>(kReduces));
+      std::vector<std::vector<Record>> lists(kReduces);
+      const std::size_t lo = data.size() * m / kSlices;
+      const std::size_t hi = data.size() * (m + 1) / kSlices;
+      for (std::size_t i = lo; i < hi; ++i) {
+        lists[std::hash<std::int64_t>{}(data[i].first) % kReduces].push_back(
+            data[i]);
+      }
+      for (int r = 0; r < kReduces; ++r) {
+        EXPECT_EQ(output->buckets[r], serde::EncodeToBytes(lists[r]))
+            << "map " << m << " bucket " << r;
+      }
+    }
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+}
+
 }  // namespace
 }  // namespace pstk::spark
