@@ -114,7 +114,8 @@ class Hub {
                             SimTime t) {
     if (enabled_) MpiIoCountOverflow(rank, count, callsite, path, t);
   }
-  /// End of an MPI job (post-Run); flushes its end-of-job balances.
+  /// End of an MPI job (its last rank's exit); flushes its end-of-job
+  /// balances.
   void OnMpiJobEnd(int job, SimTime t) {
     if (enabled_) MpiJobEnd(job, t);
   }

@@ -256,6 +256,22 @@ TEST(MpiVerifyTest, CommunicatorLeakReportedAtJobEnd) {
   leaked.clear();  // destroy while the engine (and contexts) still exist
 }
 
+TEST(MpiVerifyTest, CommunicatorLeakReportedForSpawnedRanks) {
+  // The launch path of pstk::sched and ckpt::RestartManager: spawn the
+  // ranks and let the engine run. The job-end check must still fire.
+  MpiFixture f;
+  mpi::World world(*f.cluster, 2, 1);
+  std::vector<std::unique_ptr<mpi::Comm>> leaked(2);
+  world.SpawnRanks([&](mpi::Comm& comm) {
+    leaked[static_cast<std::size_t>(comm.rank())] =
+        comm.Split(/*color=*/0, /*key=*/comm.rank());
+  });
+  const sim::RunResult run = f.engine.Run();
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_EQ(f.hub().CountCode("mpi-comm-leak"), 2u);
+  leaked.clear();
+}
+
 // The paper's Fig. 4 failure: MPI_File_read_at_all takes its count as a C
 // int, so a per-rank chunk above INT_MAX bytes cannot be read. The job
 // must fail symmetrically (no deadlock) with a structured diagnostic.
