@@ -5,7 +5,6 @@
 #include <deque>
 #include <set>
 #include <string_view>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -46,8 +45,8 @@ AssignMsg DecodeAssign(const buf::Bytes& buffer) {
 }
 
 /// One map task's output: each record's key bytes and then its value bytes,
-/// back to back in one arena, plus a fixed-size entry per record. Sorting
-/// and partitioning move only the entries.
+/// back to back in one arena, plus a fixed-size entry per record.
+/// Partitioning and grouping move only the entries.
 class ArenaEmitter : public Emitter {
  public:
   struct Record {
@@ -56,7 +55,7 @@ class ArenaEmitter : public Emitter {
     std::uint32_t value_len;
   };
 
-  void Emit(std::string key, std::string value) override {
+  void Emit(std::string_view key, std::string_view value) override {
     PSTK_CHECK_MSG(key.size() <= UINT32_MAX && value.size() <= UINT32_MAX,
                    "MR record field over 4 GiB");
     records.push_back({arena.size(), static_cast<std::uint32_t>(key.size()),
@@ -77,7 +76,7 @@ class ArenaEmitter : public Emitter {
 
 class LineEmitter : public Emitter {
  public:
-  void Emit(std::string key, std::string value) override {
+  void Emit(std::string_view key, std::string_view value) override {
     lines += key;
     lines += '\t';
     lines += value;
@@ -88,16 +87,8 @@ class LineEmitter : public Emitter {
   std::uint64_t count = 0;
 };
 
-/// Bytewise (key, value) order. string_view compares bytes as unsigned
-/// char, which is the total order pair<string, string>::operator< gives.
-bool RecordLess(std::string_view key_a, std::string_view value_a,
-                std::string_view key_b, std::string_view value_b) {
-  const int c = key_a.compare(key_b);
-  return c != 0 ? c < 0 : value_a < value_b;
-}
-
-/// Serialize one sorted partition straight from the arena, in the wire
-/// format of serde's vector<pair<string, string>>: a varint count, then a
+/// Serialize one partition straight from the arena, in the wire format of
+/// serde's vector<pair<string, string>>: a varint count, then a
 /// varint-length key and a varint-length value per record.
 buf::Bytes EncodePartition(const ArenaEmitter& out,
                            const std::vector<ArenaEmitter::Record>& partition) {
@@ -128,66 +119,148 @@ std::string_view ReadField(serde::Reader& r) {
   return field.value();
 }
 
-/// One fetched map-output bucket (already sorted), decoded in place one
-/// record at a time. Holding the alias keeps the viewed bytes alive.
-struct Run {
-  explicit Run(buf::Bytes fetched)
-      : bucket(std::move(fetched)), reader(bucket) {
-    auto count = reader.ReadVarint();
-    // Every record takes at least its two length bytes.
-    PSTK_CHECK_MSG(count.ok() && count.value() <= reader.remaining() / 2,
-                   "corrupt map output");
-    left = count.value();
-  }
-  /// Decode the next record into key/value; false once the run is done.
-  bool Next() {
-    if (left == 0) {
-      PSTK_CHECK_MSG(reader.AtEnd(), "corrupt map output");
-      return false;
-    }
-    --left;
-    key = ReadField(reader);
-    value = ReadField(reader);
-    return true;
-  }
+/// The record count in a fetched bucket's header.
+std::uint64_t RecordCount(const buf::Bytes& bucket) {
+  serde::Reader reader(bucket);
+  auto count = reader.ReadVarint();
+  // Every record takes at least its two length bytes.
+  PSTK_CHECK_MSG(count.ok() && count.value() <= reader.remaining() / 2,
+                 "corrupt map output");
+  return count.value();
+}
 
-  buf::Bytes bucket;
-  serde::Reader reader;
-  std::uint64_t left = 0;  // records not yet decoded
-  std::string_view key;    // the current record
-  std::string_view value;
+/// A byte string with its first 8 bytes cached as a big-endian integer,
+/// zero-padded, so most comparisons are one integer compare. Ordered as
+/// the bytes compare unsigned, the order of std::string: a zero-padded
+/// prefix never sorts a string after one it is a prefix of, and equal
+/// prefixes fall back to the bytes.
+struct Ordered {
+  std::uint64_t prefix;
+  std::string_view bytes;
+
+  static Ordered Of(std::string_view s) {
+    std::uint64_t prefix = 0;
+    const std::size_t n = std::min<std::size_t>(s.size(), 8);
+    for (std::size_t i = 0; i < n; ++i) {
+      prefix |= std::uint64_t{static_cast<unsigned char>(s[i])} << (56 - 8 * i);
+    }
+    return {prefix, s};
+  }
+  friend bool operator<(const Ordered& a, const Ordered& b) {
+    return a.prefix != b.prefix ? a.prefix < b.prefix : a.bytes < b.bytes;
+  }
 };
 
-/// K-way merge the sorted runs and feed each key's values to `fn`. The
-/// key and value strings are refilled by assignment, reusing capacity.
-void MergeAndApply(std::vector<Run>& runs, const ReduceFn& fn, Emitter& out) {
-  // Min-heap of runs by current record.
-  const auto after = [](const Run* a, const Run* b) {
-    return RecordLess(b->key, b->value, a->key, a->value);
-  };
-  std::vector<Run*> heap;
-  for (Run& run : runs) {
-    if (run.Next()) heap.push_back(&run);
-  }
-  std::make_heap(heap.begin(), heap.end(), after);
-  std::string key;
-  std::vector<std::string> values;
-  while (!heap.empty()) {
-    key.assign(heap.front()->key);
-    std::size_t n = 0;
-    while (!heap.empty() && heap.front()->key == key) {
-      std::pop_heap(heap.begin(), heap.end(), after);
-      Run* run = heap.back();
-      if (n == values.size()) values.emplace_back();
-      values[n++].assign(run->value);
-      if (run->Next()) {
-        std::push_heap(heap.begin(), heap.end(), after);
-      } else {
-        heap.pop_back();
+/// Numbers distinct keys 0, 1, 2, ... in first-seen order and counts each
+/// one's records: an open-addressing table of key numbers (linear probing,
+/// at most half full) that doubles as keys arrive.
+class KeyNumbers {
+ public:
+  std::uint32_t Add(std::string_view key) {
+    const std::uint64_t hash = std::hash<std::string_view>{}(key);
+    std::size_t slot = Home(hash);
+    for (; slots_[slot] != kEmpty; slot = (slot + 1) & (slots_.size() - 1)) {
+      const std::uint32_t number = slots_[slot];
+      if (keys_[number] == key) {
+        ++counts_[number];
+        return number;
       }
     }
-    values.resize(n);
-    fn(key, values, out);
+    PSTK_CHECK(keys_.size() < kEmpty);
+    const auto number = static_cast<std::uint32_t>(keys_.size());
+    keys_.push_back(key);
+    hashes_.push_back(hash);
+    counts_.push_back(1);
+    slots_[slot] = number;
+    if (2 * keys_.size() > slots_.size()) Grow();
+    return number;
+  }
+
+  [[nodiscard]] const std::vector<std::string_view>& keys() const {
+    return keys_;
+  }
+  [[nodiscard]] const std::vector<std::size_t>& counts() const {
+    return counts_;
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+  // The top bits of a Fibonacci-scrambled hash: one reducer's keys share
+  // their hash modulo the reducer count, so the low bits are not spread.
+  [[nodiscard]] std::size_t Home(std::uint64_t hash) const {
+    return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void Grow() {
+    --shift_;
+    slots_.assign(2 * slots_.size(), kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t number = 0; number < keys_.size(); ++number) {
+      std::size_t slot = Home(hashes_[number]);
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+      slots_[slot] = number;
+    }
+  }
+
+  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16, kEmpty);
+  int shift_ = 60;  // 64 - log2(slots_.size())
+  std::vector<std::string_view> keys_;
+  std::vector<std::uint64_t> hashes_;
+  std::vector<std::size_t> counts_;
+};
+
+/// Feed `fn` every distinct key of a record set in unsigned-byte order,
+/// each with all of its values sorted the same way: the sequence a
+/// sort-merge of the records by (key, value) gives, with no record sorted.
+/// The record set is what `for_each(visit)` walks, calling visit(key,
+/// value) once per record. It is walked twice, in the same order both
+/// times, and its views must stay valid until this returns. The key and
+/// value strings handed to `fn` are refilled by assignment.
+template <typename ForEach>
+void GroupAndApply(const ForEach& for_each, const ReduceFn& fn, Emitter& out) {
+  // Pass 1: number the keys and count their records.
+  KeyNumbers numbers;
+  std::vector<std::uint32_t> key_of;
+  for_each([&](std::string_view key, std::string_view) {
+    key_of.push_back(numbers.Add(key));
+  });
+  const std::vector<std::string_view>& keys = numbers.keys();
+  const std::vector<std::size_t>& counts = numbers.counts();
+
+  // Order the distinct keys; each key's values then take the slots after
+  // those of every smaller key (a counting sort).
+  std::vector<std::pair<Ordered, std::uint32_t>> sorted_keys;
+  sorted_keys.reserve(keys.size());
+  for (std::uint32_t k = 0; k < keys.size(); ++k) {
+    sorted_keys.emplace_back(Ordered::Of(keys[k]), k);
+  }
+  std::sort(sorted_keys.begin(), sorted_keys.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::size_t> next(keys.size());
+  std::size_t placed = 0;
+  for (const auto& [key, k] : sorted_keys) {
+    next[k] = placed;
+    placed += counts[k];
+  }
+
+  // Pass 2: place every value view in its key's slots.
+  std::vector<Ordered> values(key_of.size());
+  std::size_t record = 0;
+  for_each([&](std::string_view, std::string_view value) {
+    values[next[key_of[record++]]++] = Ordered::Of(value);
+  });
+
+  std::string key;
+  std::vector<std::string> group;
+  auto first = values.begin();
+  for (const auto& [ordered_key, k] : sorted_keys) {
+    const auto last = first + static_cast<std::ptrdiff_t>(counts[k]);
+    std::sort(first, last);
+    key.assign(ordered_key.bytes);
+    group.resize(counts[k]);
+    for (std::string& value : group) value.assign((first++)->bytes);
+    fn(key, group, out);
   }
 }
 
@@ -510,6 +583,10 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
     SweepDeadWorkers(job);
   }
 
+  // Every reducer holds aliases of what it fetched, so the spills can go
+  // now instead of living as long as the engine.
+  job.map_outputs.clear();
+
   // Shut the workers down.
   for (int w = 0; w < job.num_workers; ++w) {
     if (cluster_.engine().IsAlive(job.worker_pids[w])) {
@@ -680,58 +757,35 @@ void MrEngine::RunMapTask(sim::Context& ctx, Job& job, int worker_id,
   job.counters.input_records += records;
   job.counters.map_output_records += collected.records.size();
 
-  // Map-side combine *before* partitioning and sorting: one hash pass
-  // groups all values per key (every key's values are complete within a
-  // map task), the combiner shrinks them, and only the combined records
-  // hit the sort. Values are sorted within each group so the combiner sees
-  // the same grouped-and-ordered input Hadoop's sorted pipeline would give
-  // it (and the spilled bytes are identical to combine-after-sort).
+  // Map-side combine *before* partitioning: the records are grouped by key
+  // (every key's values are complete within a map task) and the combiner
+  // sees each key with its values sorted, the grouped-and-ordered input
+  // Hadoop's sorted pipeline would give it; only its output is spilled.
+  // The sort of each partition is charged but not done on the host: spill
+  // sizes do not depend on record order, and reducers group by key.
   using Record = ArenaEmitter::Record;
   const auto R = static_cast<std::size_t>(job.conf.num_reducers);
   std::vector<std::vector<Record>> partitions(R);
   {
     sim::Scope sort_scope(ctx, tags_.map_sort, tags_.time_sort);
     if (job.combine.has_value() && !collected.records.empty()) {
+      // Linear hash-aggregation pass over the pre-combine records.
+      ChargeRecords(ctx, collected.records.size(), 0,
+                    options_.sort_cpu_per_record);
       ArenaEmitter combined;
-      {
-        std::unordered_map<std::string_view, std::vector<const Record*>>
-            groups;
-        groups.reserve(collected.records.size());
-        for (const Record& r : collected.records) {
-          groups[collected.key(r)].push_back(&r);
-        }
-        // Linear hash-aggregation pass over the pre-combine records.
-        ChargeRecords(ctx, collected.records.size(), 0,
-                      options_.sort_cpu_per_record);
-        std::string key;
-        std::vector<std::string> values;
-        for (auto& [group_key, group] : groups) {
-          std::sort(group.begin(), group.end(),
-                    [&](const Record* a, const Record* b) {
-                      return collected.value(*a) < collected.value(*b);
-                    });
-          key.assign(group_key);
-          values.resize(group.size());
-          for (std::size_t i = 0; i < group.size(); ++i) {
-            values[i].assign(collected.value(*group[i]));
-          }
-          (*job.combine)(key, values, combined);
-        }
-      }
+      GroupAndApply(
+          [&collected](auto&& visit) {
+            for (const Record& r : collected.records) {
+              visit(collected.key(r), collected.value(r));
+            }
+          },
+          *job.combine, combined);
       collected = std::move(combined);
     }
     for (const Record& r : collected.records) {
       partitions[HashKey(collected.key(r)) % R].push_back(r);
     }
-    std::uint64_t sort_records = 0;
-    for (auto& partition : partitions) {
-      std::sort(partition.begin(), partition.end(),
-                [&](const Record& a, const Record& b) {
-                  return RecordLess(collected.key(a), collected.value(a),
-                                    collected.key(b), collected.value(b));
-                });
-      sort_records += partition.size();
-    }
+    const std::uint64_t sort_records = collected.records.size();
     const double log_factor =
         sort_records > 1 ? std::log2(static_cast<double>(sort_records)) : 1.0;
     ChargeRecords(ctx, static_cast<std::uint64_t>(
@@ -771,12 +825,12 @@ void MrEngine::RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
   sim::Scope task_scope(ctx, tags_.reduce_task);
   ctx.SleepFor(options_.jvm_startup_per_task);
 
-  // Shuffle: fetch this reducer's bucket from every map output.
-  std::vector<Run> runs;
+  // Shuffle: fetch this reducer's bucket from every map output. Only the
+  // aliases are held while the reducer sleeps; nothing is decoded yet.
+  std::vector<buf::Bytes> buckets;
   std::uint64_t records = 0;
   std::vector<std::int32_t> missing;
   Bytes fetched_bytes = 0;
-  std::size_t fetched_outputs = 0;
   {
     sim::Scope shuffle_scope(ctx, tags_.reduce_shuffle, tags_.time_shuffle);
     auto it = job.map_outputs.begin();
@@ -803,14 +857,13 @@ void MrEngine::RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
       ctx.SleepUntil(t);
       it = job.map_outputs.upper_bound(map_id);
       fetched_bytes += modeled;
-      ++fetched_outputs;
-      runs.emplace_back(std::move(bucket));
-      records += runs.back().left;
+      records += RecordCount(bucket);
+      buckets.push_back(std::move(bucket));
     }
   }
   job.counters.shuffled_bytes += fetched_bytes;
 
-  if (!missing.empty() || fetched_outputs != job.split_locations.size()) {
+  if (!missing.empty() || buckets.size() != job.split_locations.size()) {
     // Some outputs are gone (node died after its maps completed).
     serde::Writer fail;
     fail.WriteRaw<std::int32_t>(reduce_id);
@@ -821,8 +874,8 @@ void MrEngine::RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
   }
 
   // Merge — Hadoop does an on-disk multi-way merge: one pass of write+read
-  // of the full bucket set on local disk plus sort CPU. Every bucket is
-  // sorted already, so the host merges them by view as it reduces.
+  // of the full bucket set on local disk plus sort CPU. On the host the
+  // records are grouped by key once, as they are reduced.
   {
     sim::Scope merge_scope(ctx, tags_.reduce_merge, tags_.time_merge);
     SimTime t = cluster_.scratch_disk(node)->Write(fetched_bytes, ctx.now());
@@ -835,11 +888,23 @@ void MrEngine::RunReduceTask(sim::Context& ctx, Job& job, int worker_id,
                   0, options_.sort_cpu_per_record);
   }
 
-  // Reduce.
+  // Reduce, decoding record views in place from the held aliases.
   LineEmitter out;
   {
     sim::Scope reduce_scope(ctx, tags_.reduce_reduce, tags_.time_reduce);
-    MergeAndApply(runs, job.reduce, out);
+    GroupAndApply(
+        [&buckets](auto&& visit) {
+          for (const buf::Bytes& bucket : buckets) {
+            serde::Reader reader(bucket);
+            for (std::uint64_t left = reader.ReadVarint().value(); left > 0;
+                 --left) {
+              const std::string_view key = ReadField(reader);
+              visit(key, ReadField(reader));
+            }
+            PSTK_CHECK_MSG(reader.AtEnd(), "corrupt map output");
+          }
+        },
+        job.reduce, out);
     ChargeRecords(ctx, records, 0, options_.map_cpu_per_record);
   }
   job.counters.reduce_output_records += out.count;

@@ -8,7 +8,11 @@
 //  * map outputs are partitioned, sorted, optionally combined, and
 //    *spilled to local disk*; reducers shuffle them over sockets, merge on
 //    disk, reduce, and write to the DFS — "Hadoop relies heavily on disk
-//    operations and persists intermediate results on disk" (§V-C);
+//    operations and persists intermediate results on disk" (§V-C). The
+//    map-side sort and the reduce-side merge are charged in virtual time;
+//    on the host, map tasks spill in emit order and each reducer groups
+//    its fetched records once, so a ReduceFn sees the keys and values
+//    that a sort-merge would give;
 //  * failed tasks are re-executed automatically, including re-running
 //    completed map tasks whose host died before reducers fetched them.
 //
@@ -23,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -38,7 +43,8 @@ namespace pstk::mr {
 class Emitter {
  public:
   virtual ~Emitter() = default;
-  virtual void Emit(std::string key, std::string value) = 0;
+  /// The views need only last for the call: the record is copied.
+  virtual void Emit(std::string_view key, std::string_view value) = 0;
 };
 
 using MapFn =

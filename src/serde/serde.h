@@ -86,6 +86,7 @@ class Reader {
 
   Status ReadBytes(void* out, std::size_t size) {
     if (size > remaining()) return OutOfRange("serde: buffer underrun");
+    if (size == 0) return OkStatus();  // `out` may be null then
     std::memcpy(out, data_ + pos_, size);
     pos_ += size;
     return OkStatus();
@@ -274,29 +275,47 @@ struct Codec<std::tuple<Ts...>> {
 
 template <typename T>
 struct Codec<std::vector<T>> {
+  // Numbers (but not the bit-packed vector<bool>) go as one block: the
+  // same bytes as one WriteRaw per element.
+  static constexpr bool kBlock =
+      std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
+
   static void Encode(Writer& w, const std::vector<T>& value) {
     if constexpr (SizeOf<std::vector<T>>::kEnabled) {
       w.Reserve(w.size() + SizeOf<std::vector<T>>::Of(value));
     }
     w.WriteVarint(value.size());
-    for (const T& elem : value) Codec<T>::Encode(w, elem);
+    if constexpr (kBlock) {
+      w.WriteBytes(value.data(), value.size() * sizeof(T));
+    } else {
+      for (const T& elem : value) Codec<T>::Encode(w, elem);
+    }
   }
   static Status Decode(Reader& r, std::vector<T>& out) {
     auto len = r.ReadVarint();
     if (!len.ok()) return len.status();
-    out.clear();
-    // The count comes from the payload: never reserve more elements than
-    // there are bytes left. Every built-in element but std::tuple<> takes
-    // at least one byte, so a hostile count fails in the element decode
-    // below instead of in the allocation.
-    out.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(len.value(), r.remaining())));
-    for (std::uint64_t i = 0; i < len.value(); ++i) {
-      T elem{};
-      PSTK_RETURN_IF_ERROR(Codec<T>::Decode(r, elem));
-      out.push_back(std::move(elem));
+    if constexpr (kBlock) {
+      // The count comes from the payload: check it before the allocation.
+      if (len.value() > r.remaining() / sizeof(T)) {
+        return OutOfRange("serde: bad vector count");
+      }
+      out.resize(static_cast<std::size_t>(len.value()));
+      return r.ReadBytes(out.data(), out.size() * sizeof(T));
+    } else {
+      out.clear();
+      // Never reserve more elements than there are bytes left. Every
+      // built-in element but std::tuple<> takes at least one byte, so a
+      // hostile count fails in the element decode below instead of in the
+      // allocation.
+      out.reserve(static_cast<std::size_t>(
+          std::min<std::uint64_t>(len.value(), r.remaining())));
+      for (std::uint64_t i = 0; i < len.value(); ++i) {
+        T elem{};
+        PSTK_RETURN_IF_ERROR(Codec<T>::Decode(r, elem));
+        out.push_back(std::move(elem));
+      }
+      return OkStatus();
     }
-    return OkStatus();
   }
 };
 

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -195,11 +196,13 @@ class FlatTable {
 /// Inner join of one partition's two sides: for each left row in order,
 /// one output row per right row with its key, in arrival order. The right
 /// side is indexed by its first and last row per key plus a next link per
-/// row, with no per-key vector.
-template <typename K, typename V, typename W>
+/// row, with no per-key vector. Given the left side as an rvalue, each left
+/// row moves into its last output row instead of being copied there.
+template <typename K, typename V, typename W, typename Left>
 std::vector<std::pair<K, std::pair<V, W>>> HashJoin(
-    const std::vector<std::pair<K, V>>& lhs,
-    const std::vector<std::pair<K, W>>& rhs) {
+    Left&& lhs, const std::vector<std::pair<K, W>>& rhs) {
+  static_assert(
+      std::is_same_v<std::decay_t<Left>, std::vector<std::pair<K, V>>>);
   constexpr std::uint32_t kEnd = std::numeric_limits<std::uint32_t>::max();
   struct Rows {
     std::uint32_t first;
@@ -228,29 +231,42 @@ std::vector<std::pair<K, std::pair<V, W>>> HashJoin(
   out.reserve(total);
   for (std::size_t i = 0; i < lhs.size(); ++i) {
     if (matches[i] == nullptr) continue;
-    for (std::uint32_t j = matches[i]->first; j != kEnd; j = next[j]) {
+    std::uint32_t j = matches[i]->first;
+    for (; j != matches[i]->last; j = next[j]) {
       out.emplace_back(lhs[i].first, std::pair{lhs[i].second, rhs[j].second});
+    }
+    if constexpr (std::is_lvalue_reference_v<Left>) {
+      out.emplace_back(lhs[i].first, std::pair{lhs[i].second, rhs[j].second});
+    } else {
+      out.emplace_back(std::move(lhs[i].first),
+                       std::pair{std::move(lhs[i].second), rhs[j].second});
     }
   }
   return out;
 }
 
-/// Every record of a reduce partition's fetched buckets, in bucket order.
+/// Every record of a reduce partition's fetched buckets, in bucket order,
+/// decoded straight into one vector sized from the buckets' counts.
 template <typename Record>
 std::vector<Record> DecodeBuckets(const std::vector<buf::Bytes>& buffers) {
-  std::vector<std::vector<Record>> parts;
-  parts.reserve(buffers.size());
   std::size_t total = 0;
   for (const buf::Bytes& buffer : buffers) {
-    auto records = serde::DecodeFromBytes<std::vector<Record>>(buffer);
-    PSTK_CHECK_MSG(records.ok(), "corrupt shuffle bucket");
-    total += records.value().size();
-    parts.push_back(std::move(records.value()));
+    serde::Reader r(buffer);
+    auto count = r.ReadVarint();
+    // Every record takes at least one byte.
+    PSTK_CHECK_MSG(count.ok() && count.value() <= r.remaining(),
+                   "corrupt shuffle bucket");
+    total += count.value();
   }
   std::vector<Record> out;
   out.reserve(total);
-  for (std::vector<Record>& part : parts) {
-    std::move(part.begin(), part.end(), std::back_inserter(out));
+  for (const buf::Bytes& buffer : buffers) {
+    serde::Reader r(buffer);
+    for (std::uint64_t left = r.ReadVarint().value(); left > 0; --left) {
+      PSTK_CHECK_MSG(serde::Decode(r, out.emplace_back()).ok(),
+                     "corrupt shuffle bucket");
+    }
+    PSTK_CHECK_MSG(r.AtEnd(), "corrupt shuffle bucket");
   }
   return out;
 }
@@ -623,7 +639,7 @@ class NarrowJoinNode final : public TypedRdd<std::pair<K, std::pair<V, W>>> {
     auto lhs = rt.EvaluateTyped<std::pair<K, V>>(*left_, p);
     auto rhs = rt.EvaluateTyped<std::pair<K, W>>(*right_, p);
     auto out = std::make_shared<const std::vector<std::pair<K, std::pair<V, W>>>>(
-        HashJoin(*lhs, *rhs));
+        HashJoin<K, V, W>(*lhs, *rhs));
     rt.ChargeRecords(lhs->size() + rhs->size() + out->size(), 0);
     return out;
   }
@@ -650,13 +666,15 @@ class ShuffledJoinNode final
 
   Partition<std::pair<K, std::pair<V, W>>> ComputeTyped(TaskRt& rt,
                                                         int p) override {
-    const auto lhs =
-        DecodeBuckets<std::pair<K, V>>(rt.FetchShuffle(left_id_, p));
+    auto lhs = DecodeBuckets<std::pair<K, V>>(rt.FetchShuffle(left_id_, p));
     const auto rhs =
         DecodeBuckets<std::pair<K, W>>(rt.FetchShuffle(right_id_, p));
+    const std::size_t inputs = lhs.size() + rhs.size();
+    // The decoded left side is this task's own, so its rows move into the
+    // output.
     auto out = std::make_shared<const std::vector<std::pair<K, std::pair<V, W>>>>(
-        HashJoin(lhs, rhs));
-    rt.ChargeRecords(lhs.size() + rhs.size() + out->size(), 0);
+        HashJoin<K, V, W>(std::move(lhs), rhs));
+    rt.ChargeRecords(inputs + out->size(), 0);
     return out;
   }
 

@@ -9,6 +9,7 @@
 // SparkOptions::rdma_shuffle (the Spark-RDMA plugin of Lu et al.).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -435,11 +436,23 @@ class PairRdd {
 
   Result<std::int64_t> Count() const { return AsRdd().Count(); }
   Result<std::vector<P>> Collect() const { return AsRdd().Collect(); }
+  /// Like inserting every collected pair in turn: a key's last value wins.
   Result<std::map<K, V>> CollectAsMap() const {
     auto pairs = Collect();
     if (!pairs.ok()) return pairs.status();
+    std::vector<P>& items = pairs.value();
+    const auto key_less = [](const P& a, const P& b) {
+      return a.first < b.first;
+    };
+    // Stable, so equal keys stay in collect order and the last is the one
+    // kept; the map is then built in key order, each node at its end.
+    std::stable_sort(items.begin(), items.end(), key_less);
     std::map<K, V> out;
-    for (auto& [key, value] : pairs.value()) out[key] = value;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i + 1 < items.size() && !key_less(items[i], items[i + 1])) continue;
+      out.emplace_hint(out.end(), std::move(items[i].first),
+                       std::move(items[i].second));
+    }
     return out;
   }
 

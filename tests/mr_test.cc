@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <optional>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/rng.h"
 #include "dfs/dfs.h"
 #include "mr/mr.h"
 #include "obs/obs.h"
@@ -521,6 +523,220 @@ TEST(MrTest, ReducerInputOrderAndSpillFormat) {
   }
   EXPECT_EQ(result->counters.spilled_bytes, spilled);
   EXPECT_EQ(result->counters.shuffled_bytes, spilled);
+}
+
+// Seeded records for the grouping tests: one hot key, keys and values that
+// agree in their first 8 bytes and differ after them, "a" beside "a\0",
+// bytes >= 0x80, empty keys and values, and duplicate (key, value) pairs.
+std::vector<std::pair<std::string, std::string>> GroupingRecords() {
+  using namespace std::string_literals;
+  Rng rng(4242);
+  const auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[rng.Below(from.size())];
+  };
+  const auto tail = [&rng](std::size_t max_len) {
+    static const std::string kAlphabet = "\0" "19\x80\xff"s;
+    std::string out(rng.Below(max_len + 1), ' ');
+    for (char& c : out) c = kAlphabet[rng.Below(kAlphabet.size())];
+    return out;
+  };
+  const std::vector<std::string> key_heads = {
+      "", "a", "a\0"s, "samepref", "\xc3\xa9t\xc3\xa9", "\xff\xff"};
+  const std::vector<std::string> value_heads = {
+      "", "a", "a\0"s, "1234567", "12345678", std::string(8, '\x80')};
+  std::vector<std::string> keys;
+  for (int k = 0; k < 300; ++k) keys.push_back(pick(key_heads) + tail(3));
+  std::vector<std::pair<std::string, std::string>> records = {
+      {"a", "x"}, {"a\0"s, "x"}, {"", ""}, {"", "v"}, {"k", ""},
+      {"sameprefA", "samepref-1"}, {"sameprefB", "samepref-0"},
+      {"samepref", "dup"}, {"samepref", "dup"}};
+  for (int i = 0; i < 36000; ++i) {
+    const bool hot = rng.Below(3) != 0;
+    records.emplace_back(hot ? "hot" : pick(keys),
+                         pick(value_heads) + tail(4));
+  }
+  return records;
+}
+
+// A MiniMR job over GroupingRecords(): input lines "<lo> <hi> <padding>",
+// and the map emits records [lo, hi). The padding spreads the lines over
+// several 2 KiB blocks, so several map tasks spill into every reducer.
+struct GroupingJob {
+  static constexpr int kReducers = 3;
+  static constexpr std::size_t kLines = 120;
+
+  GroupingJob() : records(GroupingRecords()) {
+    std::string input;
+    for (std::size_t l = 0; l < kLines; ++l) {
+      input += std::to_string(records.size() * l / kLines) + ' ' +
+               std::to_string(records.size() * (l + 1) / kLines) + ' ' +
+               std::string(64, 'x') + '\n';
+    }
+    EXPECT_TRUE(f.dfs->Install("/in/group.txt", input).ok());
+  }
+
+  MapFn Map() const {
+    return [this](const std::string& line, Emitter& out) {
+      char* end = nullptr;
+      const std::size_t lo = std::strtoul(line.c_str(), &end, 10);
+      const std::size_t hi = std::strtoul(end, nullptr, 10);
+      for (std::size_t i = lo; i < hi; ++i) {
+        out.Emit(records[i].first, records[i].second);
+      }
+    };
+  }
+
+  /// Each map task's input records, read back block by block after a run.
+  std::vector<std::vector<std::pair<std::string, std::string>>> Splits() {
+    auto locations = f.dfs->BlockLocations("/in/group.txt");
+    EXPECT_TRUE(locations.ok());
+    std::vector<std::vector<std::pair<std::string, std::string>>> splits;
+    f.engine.Spawn("split-reader", [&](sim::Context& ctx) {
+      for (std::size_t b = 0; b < locations.value().size(); ++b) {
+        auto block = f.dfs->ReadBlock(ctx, 0, "/in/group.txt", b);
+        ASSERT_TRUE(block.ok());
+        auto& split = splits.emplace_back();
+        const std::string text = block.value().ToString();
+        std::size_t pos = 0;
+        while (pos < text.size()) {
+          std::size_t nl = text.find('\n', pos);
+          if (nl == std::string::npos) nl = text.size();
+          char* end = nullptr;
+          const std::size_t lo = std::strtoul(text.c_str() + pos, &end, 10);
+          const std::size_t hi = std::strtoul(end, nullptr, 10);
+          split.insert(split.end(), records.begin() + lo, records.begin() + hi);
+          pos = nl + 1;
+        }
+      }
+    });
+    EXPECT_TRUE(f.engine.Run().status.ok());
+    return splits;
+  }
+
+  static std::size_t ReducerOf(const std::string& key) {
+    return std::hash<std::string>{}(key) % kReducers;
+  }
+
+  MrFixture f;
+  std::vector<std::pair<std::string, std::string>> records;
+};
+
+using Calls = std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+// Every key of `records` in key order, each with all its values sorted;
+// std::string compares its bytes as unsigned char.
+Calls SortedGroups(
+    const std::vector<std::pair<std::string, std::string>>& records) {
+  std::map<std::string, std::vector<std::string>> groups;
+  for (const auto& [key, value] : records) groups[key].push_back(value);
+  Calls out;
+  for (auto& [key, values] : groups) {
+    std::sort(values.begin(), values.end());
+    out.emplace_back(key, std::move(values));
+  }
+  return out;
+}
+
+// Runs the grouping job, with the combiner when one is given, and checks
+// that each reducer saw exactly its keys in order with sorted values, and
+// that the spills are serde's encoding size of each map's partitions.
+void CheckGroupingJob(GroupingJob& job,
+                      const std::optional<ReduceFn>& combine) {
+  JobConf conf;
+  conf.input_path = "/in/group.txt";
+  conf.output_path = "/out/group";
+  conf.num_reducers = GroupingJob::kReducers;
+  conf.write_output = false;
+  Calls calls;
+  const ReduceFn reduce = [&calls](const std::string& key,
+                                   const std::vector<std::string>& values,
+                                   Emitter&) {
+    calls.emplace_back(key, values);
+  };
+  auto result = job.f.mr->RunJob(conf, job.Map(), reduce, combine);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto splits = job.Splits();
+  ASSERT_GE(splits.size(), 4u);
+  ASSERT_EQ(result->counters.map_tasks, splits.size());
+  ASSERT_EQ(result->counters.reduce_tasks, 3u);
+  ASSERT_EQ(result->counters.task_retries, 0u);
+
+  const Calls oracle = SortedGroups(job.records);
+  std::size_t hot_values = 0;
+  bool duplicate = false;
+  for (const auto& [key, values] : oracle) {
+    if (key == "hot") hot_values = values.size();
+    duplicate |= std::adjacent_find(values.begin(), values.end()) !=
+                 values.end();
+  }
+  ASSERT_GE(hot_values, 20000u);
+  ASSERT_TRUE(duplicate);
+  // Calls of one reducer keep their order when filtered out of the log.
+  for (std::size_t r = 0; r < GroupingJob::kReducers; ++r) {
+    Calls expected;
+    Calls got;
+    for (const auto& call : oracle) {
+      if (GroupingJob::ReducerOf(call.first) == r) expected.push_back(call);
+    }
+    for (const auto& call : calls) {
+      if (GroupingJob::ReducerOf(call.first) == r) got.push_back(call);
+    }
+    ASSERT_EQ(got.size(), expected.size()) << "reducer " << r;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].first, expected[i].first)
+          << "reducer " << r << " call " << i;
+      ASSERT_TRUE(got[i].second == expected[i].second)
+          << "reducer " << r << " call " << i << ": the values of key "
+          << got[i].first;
+    }
+  }
+
+  Bytes spilled = 0;
+  for (const auto& split : splits) {
+    std::vector<std::vector<std::pair<std::string, std::string>>> partitions(
+        GroupingJob::kReducers);
+    for (const auto& record : split) {
+      partitions[GroupingJob::ReducerOf(record.first)].push_back(record);
+    }
+    for (const auto& partition : partitions) {
+      spilled += serde::EncodedSize(partition);
+    }
+  }
+  EXPECT_EQ(result->counters.spilled_bytes, spilled);
+  EXPECT_EQ(result->counters.shuffled_bytes, spilled);
+}
+
+TEST(MrTest, ReducersSeeEachKeyInOrderWithSortedValues) {
+  GroupingJob job;
+  CheckGroupingJob(job, std::nullopt);
+}
+
+TEST(MrTest, CombinerSeesEachKeyOfItsMapOnceWithSortedValues) {
+  // A pass-through combiner that logs its calls: the reducers' input, and
+  // so their check, is the same as without it.
+  Calls combined;
+  const ReduceFn combine = [&combined](const std::string& key,
+                                       const std::vector<std::string>& values,
+                                       Emitter& out) {
+    combined.emplace_back(key, values);
+    for (const std::string& value : values) out.Emit(key, value);
+  };
+  GroupingJob job;
+  CheckGroupingJob(job, combine);
+  // Over all map tasks, the combiner calls are each task's keys, each
+  // once with all of its values in that task, sorted.
+  Calls expected;
+  for (const auto& split : job.Splits()) {
+    const Calls groups = SortedGroups(split);
+    expected.insert(expected.end(), groups.begin(), groups.end());
+  }
+  ASSERT_EQ(combined.size(), expected.size());
+  for (const auto& [key, values] : combined) {
+    EXPECT_TRUE(std::is_sorted(values.begin(), values.end())) << key;
+  }
+  std::sort(combined.begin(), combined.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_TRUE(combined == expected);
 }
 
 TEST(MrTest, ShrinkRequeuesTheLastRunningMap) {

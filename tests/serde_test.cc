@@ -107,6 +107,79 @@ TEST(SerdeTest, HostileVectorCountsFailCleanly) {
   }
 }
 
+// The bytes of a vector encoded one WriteRaw per element: the format the
+// block encoding of numeric vectors must keep.
+template <typename T>
+Buffer ElementByElement(const std::vector<T>& values) {
+  Writer w;
+  w.WriteVarint(values.size());
+  for (const T& value : values) w.WriteRaw(value);
+  return w.TakeBuffer();
+}
+
+TEST(SerdeTest, NumericVectorsEncodeAsPinnedBytes) {
+  const std::vector<std::int64_t> ints = {1, -2, 0x0102030405060708};
+  const Buffer int_bytes = {3,    1,    0,    0,    0,    0,    0,    0,
+                            0,    0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                            0xFF, 8,    7,    6,    5,    4,    3,    2,
+                            1};
+  EXPECT_EQ(EncodeToBuffer(ints), int_bytes);
+  EXPECT_EQ(ElementByElement(ints), int_bytes);
+  RoundTrip(ints);
+
+  const std::vector<double> doubles = {1.0, -0.5};
+  const Buffer double_bytes = {2, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F,
+                               0, 0, 0, 0, 0, 0, 0xE0, 0xBF};
+  EXPECT_EQ(EncodeToBuffer(doubles), double_bytes);
+  EXPECT_EQ(ElementByElement(doubles), double_bytes);
+  RoundTrip(doubles);
+
+  const std::vector<std::uint8_t> bytes = {0, 0x7F, 0x80, 0xFF};
+  const Buffer byte_bytes = {4, 0, 0x7F, 0x80, 0xFF};
+  EXPECT_EQ(EncodeToBuffer(bytes), byte_bytes);
+  EXPECT_EQ(ElementByElement(bytes), byte_bytes);
+  RoundTrip(bytes);
+
+  RoundTrip(std::vector<double>{});
+  EXPECT_EQ(EncodeToBuffer(std::vector<std::int64_t>{}), Buffer{0});
+}
+
+TEST(SerdeTest, BoolVectorsKeepOneBytePerElement) {
+  const std::vector<bool> flags = {true, false, true};
+  const Buffer expected = {3, 1, 0, 1};
+  EXPECT_EQ(EncodeToBuffer(flags), expected);
+  RoundTrip(flags);
+}
+
+TEST(SerdeTest, NumericVectorCountBeyondPayloadIsOutOfRange) {
+  // One element short, a count of 2^62, and counts whose count * 8 wraps
+  // around to a small number: each fails before any allocation.
+  const auto decode_int64 = [](std::uint64_t count, std::size_t payload) {
+    Writer w;
+    w.WriteVarint(count);
+    for (std::size_t i = 0; i < payload; ++i) w.WriteRaw<std::uint8_t>(7);
+    return DecodeFromBuffer<std::vector<std::int64_t>>(w.buffer());
+  };
+  for (const auto& [count, payload] :
+       std::vector<std::pair<std::uint64_t, std::size_t>>{
+           {2, 15},
+           {1, 7},
+           {std::uint64_t{1} << 62, 64},
+           {(std::uint64_t{1} << 61) + 1, 16},
+           {~0ULL >> 1, 16}}) {
+    auto res = decode_int64(count, payload);
+    ASSERT_FALSE(res.ok()) << count;
+    EXPECT_EQ(res.status().code(), StatusCode::kOutOfRange) << count;
+  }
+  EXPECT_TRUE(decode_int64(2, 16).ok());
+  Writer w;
+  w.WriteVarint(5);
+  for (int i = 0; i < 4; ++i) w.WriteRaw<std::uint8_t>(1);
+  auto res = DecodeFromBuffer<std::vector<std::uint8_t>>(w.buffer());
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kOutOfRange);
+}
+
 TEST(SerdeTest, ReadViewPastEndLeavesCursor) {
   const Buffer buf = {'a', 'b', 'c'};
   Reader r(buf);
