@@ -35,13 +35,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -305,74 +303,6 @@ class Engine {
     obs::TagId dispatch_ns = obs::kNoTag; // histogram: host ns per dispatch
   };
   SimTags tags_;
-};
-
-/// Condition-variable analogue in virtual time: processes Wait; another
-/// process Notifies with a timestamp; each waiter resumes at
-/// max(own clock, timestamp).
-///
-/// Waiter bookkeeping is a generation-stamped slot scheme: every Wait
-/// enqueues a (pid, ticket) slot with a fresh monotonically increasing
-/// ticket. A waiter killed mid-wait discards its slot in O(1) amortized —
-/// the ticket goes into a cancelled set and the slot itself is dropped
-/// lazily when a notify surfaces it — replacing the old O(n) erase on the
-/// kill-unwind path and the O(dead) rescan in NotifyOne.
-class Condition {
- public:
-  /// Park the caller until notified. If the caller is killed mid-wait the
-  /// unwind cancels its slot, so a later notify cannot burn its wake-up
-  /// on a dead process.
-  void Wait(Context& ctx, std::string_view reason = "condition") {
-    const std::uint64_t ticket = next_ticket_++;
-    waiters_.push_back(Slot{ctx.pid(), ticket});
-    ++live_;
-    try {
-      ctx.Block(reason);
-    } catch (...) {
-      cancelled_.insert(ticket);
-      --live_;
-      throw;
-    }
-  }
-
-  /// Wake all live waiters at time `t`.
-  void NotifyAll(Engine& engine, SimTime t) {
-    for (const Slot& slot : waiters_) {
-      if (cancelled_.erase(slot.ticket) > 0) continue;
-      engine.Wake(slot.pid, t);
-    }
-    waiters_.clear();
-    live_ = 0;
-  }
-
-  /// Wake the longest-waiting *live* process at time `t`; returns false if
-  /// none. Cancelled slots (killed waiters) are discarded as they surface.
-  bool NotifyOne(Engine& engine, SimTime t) {
-    while (!waiters_.empty()) {
-      const Slot slot = waiters_.front();
-      waiters_.pop_front();
-      if (cancelled_.erase(slot.ticket) > 0) continue;
-      --live_;
-      if (!engine.IsAlive(slot.pid)) continue;
-      engine.Wake(slot.pid, t);
-      return true;
-    }
-    return false;
-  }
-
-  /// Waiters currently parked and not cancelled.
-  [[nodiscard]] std::size_t waiter_count() const { return live_; }
-
- private:
-  struct Slot {
-    Pid pid;
-    std::uint64_t ticket;
-  };
-
-  std::deque<Slot> waiters_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::uint64_t next_ticket_ = 0;
-  std::size_t live_ = 0;
 };
 
 /// RAII span on the calling process's (node, pid) track, with an optional
