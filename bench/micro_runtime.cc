@@ -122,9 +122,8 @@ void BM_EngineSpawnRunProcesses(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;
     for (int i = 0; i < procs; ++i) {
-      engine.Spawn("p" + std::to_string(i), [](sim::Context& ctx) {
-        ctx.Compute(1.0);
-      });
+      engine.Spawn(std::string("p").append(std::to_string(i)),
+                   [](sim::Context& ctx) { ctx.Compute(1.0); });
     }
     auto result = engine.Run();
     benchmark::DoNotOptimize(result.end_time);

@@ -137,7 +137,6 @@ class Result {
   [[nodiscard]] bool ok() const { return std::holds_alternative<T>(data_); }
 
   [[nodiscard]] const Status& status() const {
-    static const Status kOk;
     if (ok()) return kOk;
     return std::get<Status>(data_);
   }
@@ -166,6 +165,12 @@ class Result {
   [[nodiscard]] const T* operator->() const { return &value(); }
 
  private:
+  // A static member, not a function-local static: the local's init guard
+  // is a call GCC cannot see through, so at -O3 it lost track of which
+  // alternative a Result<int> holds and warned that the unused Status
+  // alternative may be uninitialized.
+  static inline const Status kOk;
+
   void Ensure() const {
     if (!ok()) throw StatusError(std::get<Status>(data_));
   }
