@@ -142,8 +142,10 @@ Result<HpcRun> RunMpiFt(const FtConfig& cfg, const ckpt::CkptPolicy& policy,
         comm.Barrier();  // collective boundary: channels quiesced
         // Uniform restore: a committed epoch has a fragment for every rank,
         // so either all ranks decode a slice or all seed the initial 1.0,
-        // and the rebuild Allreduce runs unconditionally (the shape the
-        // mpi-collective-in-divergent-branch lint rule demands).
+        // and the rebuild Allreduce runs unconditionally (a rank that
+        // skipped it would shift its collective sequence against its
+        // peers, which --verify reports as a call-order mismatch or a
+        // deadlock).
         int start_iter = 0;
         const serde::Buffer* frag = coord.Restore(comm.ctx(), rank, node);
         if (frag != nullptr) {

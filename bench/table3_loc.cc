@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/lint.h"
 #include "analysis/loc.h"
 #include "bench_opts.h"
 #include "common/config.h"
@@ -61,7 +60,7 @@ int main(int argc, char** argv) {
               "implementations\n\n");
   Table table;
   table.SetHeader({"framework", "code lines", "boilerplate",
-                   "boilerplate %", "lint findings"});
+                   "boilerplate %"});
   bool ok = true;
   std::map<std::string, double> share;
   for (const Subject& subject : subjects) {
@@ -74,22 +73,12 @@ int main(int argc, char** argv) {
       ok = false;
       continue;
     }
-    // Maintainability has a correctness face too: how many statically
-    // detectable misuse patterns does each paradigm's version carry?
-    auto findings = analysis::LintFile(root + "/" + subject.file);
-    if (!findings.ok()) {
-      std::fprintf(stderr, "%s: %s\n", subject.label,
-                   findings.status().ToString().c_str());
-      ok = false;
-      continue;
-    }
     share[subject.label] = report->BoilerplateShare();
     table.Row()
         .Cell(subject.label)
         .Cell(std::int64_t{report->code_lines})
         .Cell(std::int64_t{report->boilerplate_lines})
-        .Cell(100.0 * report->BoilerplateShare(), 0)
-        .Cell(static_cast<std::int64_t>(findings->size()));
+        .Cell(100.0 * report->BoilerplateShare(), 0);
   }
   table.Print();
   const bool ranked = share.size() == 4 && share["OpenMP"] < share["Spark"] &&
@@ -100,34 +89,6 @@ int main(int argc, char** argv) {
                          "< Spark < Hadoop MR < MPI\n");
     ok = false;
   }
-
-  // The same lint lens over the framework *implementations*: how many
-  // statically detectable misuse patterns live in each paradigm runtime
-  // itself (whole-subtree interprocedural scan; warnings included).
-  std::printf("\nFramework runtimes (src/) under the same lint rules:\n\n");
-  Table fw;
-  fw.SetHeader({"framework runtime", "lint findings"});
-  const struct {
-    const char* label;
-    const char* dir;
-  } runtimes[] = {
-      {"src/omp (OpenMP-like)", "src/omp"},
-      {"src/mpi (MPI-like)", "src/mpi"},
-      {"src/mr (Hadoop MR-like)", "src/mr"},
-      {"src/spark (Spark-like)", "src/spark"},
-  };
-  for (const auto& rt : runtimes) {
-    auto findings = analysis::LintTree({root + "/" + rt.dir});
-    if (!findings.ok()) {
-      std::fprintf(stderr, "%s: %s\n", rt.label,
-                   findings.status().ToString().c_str());
-      ok = false;
-      continue;
-    }
-    fw.Row().Cell(rt.label).Cell(
-        static_cast<std::int64_t>(findings->size()));
-  }
-  fw.Print();
 
   std::printf(
       "\nExpected shape (paper): the OpenMP version is smallest (pragma-style\n"

@@ -128,8 +128,10 @@ class SnapshotStore {
 /// Every rank calls `Checkpoint(ctx, rank, node, epoch, state)` at the same
 /// collective boundary; the first arrival decides whether the epoch is due
 /// (policy interval elapsed) and the rest follow that decision, so the
-/// choice is uniform across ranks by construction. See the lint rule
-/// `ckpt-outside-collective` for the misuse this forbids.
+/// choice is uniform across ranks by construction. A rank that skips the
+/// boundary leaves the epoch uncommitted; under --verify the
+/// `ckpt-consistency` checker reports partial commits, epoch regressions
+/// and diverging restore epochs.
 class CheckpointCoordinator {
  public:
   CheckpointCoordinator(cluster::Cluster& cluster, SnapshotStore& store,

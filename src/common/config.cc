@@ -10,6 +10,11 @@ Result<Config> Config::FromArgs(int argc, const char* const* argv) {
   Config config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Callers strip the flags they accept first, so a flag-like token here
+    // is a typo ("--trac=x.json") and must not become a silent key.
+    if (!arg.empty() && arg[0] == '-') {
+      return InvalidArgument("unknown flag '" + arg + "'");
+    }
     const auto eq = arg.find('=');
     if (eq == std::string::npos || eq == 0) {
       return InvalidArgument("expected key=value, got '" + arg + "'");

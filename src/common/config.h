@@ -14,7 +14,9 @@ class Config {
  public:
   Config() = default;
 
-  /// Parse "key=value" tokens; unknown tokens yield InvalidArgument.
+  /// Parse "key=value" tokens. A token without '=' or with an empty key,
+  /// and any token starting with '-' (a flag the caller did not strip),
+  /// yields InvalidArgument naming it.
   static Result<Config> FromArgs(int argc, const char* const* argv);
 
   void Set(const std::string& key, std::string value);

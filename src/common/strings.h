@@ -1,4 +1,4 @@
-// Small string helpers (split/trim/join/prefix, number parsing) shared
+// Small string helpers (split/trim/lowercase, number parsing) shared
 // across modules.
 #pragma once
 
@@ -15,9 +15,6 @@ std::vector<std::string> Split(std::string_view text, char sep);
 /// Split, dropping empty fields.
 std::vector<std::string> SplitNonEmpty(std::string_view text, char sep);
 std::string_view TrimWhitespace(std::string_view text);
-bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 std::string ToLower(std::string_view text);
 
 /// All of `text` as a finite number in strtod syntax. Empty text, trailing

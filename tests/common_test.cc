@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/config.h"
@@ -186,14 +188,7 @@ TEST(StringsTest, Trim) {
   EXPECT_EQ(TrimWhitespace("   "), "");
 }
 
-TEST(StringsTest, PrefixSuffix) {
-  EXPECT_TRUE(StartsWith("hdfs://x", "hdfs://"));
-  EXPECT_FALSE(StartsWith("x", "hdfs://"));
-  EXPECT_TRUE(EndsWith("part-00000.txt", ".txt"));
-}
-
 TEST(StringsTest, JoinAndLower) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(ToLower("MiXeD"), "mixed");
 }
 
@@ -243,6 +238,73 @@ TEST(ConfigTest, RejectsMalformed) {
   auto result = Config::FromArgs(2, argv);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ConfigTest, RejectsFlagLikeKeys) {
+  // A misspelt flag ("--trace" typed as "--trac") reaches the parser
+  // because no flag stripper knows it; it must not become a key.
+  for (const char* token : {"--trac=x.json", "-n=3", "--help", "-"}) {
+    const char* argv[] = {"prog", "nodes=8", token};
+    auto result = Config::FromArgs(3, argv);
+    ASSERT_FALSE(result.ok()) << token;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find(token), std::string::npos)
+        << result.status().ToString();
+  }
+  // A '-' after the first character is an ordinary key or value byte.
+  const char* argv[] = {"prog", "a-b=-1", "x=--y"};
+  auto result = Config::FromArgs(3, argv);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->GetInt("a-b", 0), -1);
+  EXPECT_EQ(result->GetString("x", ""), "--y");
+}
+
+TEST(ConfigTest, SeededArgvMutationsReturnAStatus) {
+  // Random argv vectors built from a small alphabet rich in '=' and '-',
+  // plus raw bytes: the parser either accepts them with the entries a
+  // plain model expects or names the first bad token.
+  const char kAlphabet[] = {'=', '-', '-', 'a', 'b', '1', '.', ' '};
+  Rng rng(25);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::string> tokens(rng.Below(5));
+    for (std::string& token : tokens) {
+      for (auto n = rng.Below(8); n > 0; --n) {
+        const auto pick = rng.Below(sizeof(kAlphabet) + 1);
+        token += pick < sizeof(kAlphabet)
+                     ? kAlphabet[pick]
+                     : static_cast<char>(rng.Range(1, 255));
+      }
+    }
+    std::vector<const char*> argv{"prog"};
+    for (const std::string& token : tokens) argv.push_back(token.c_str());
+
+    std::map<std::string, std::string> model;
+    const std::string* bad = nullptr;
+    for (const std::string& token : tokens) {
+      const auto eq = token.find('=');
+      if (token.empty() || token[0] == '-' || eq == std::string::npos ||
+          eq == 0) {
+        bad = &token;
+        break;
+      }
+      model[token.substr(0, eq)] = token.substr(eq + 1);
+    }
+
+    auto result = Config::FromArgs(static_cast<int>(argv.size()), argv.data());
+    if (bad == nullptr) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->entries(), model);
+      for (const auto& [key, value] : model) {
+        (void)result->GetInt(key, 0);
+        (void)result->GetDouble(key, 0.0);
+        (void)result->GetBool(key, false);
+      }
+    } else {
+      ASSERT_FALSE(result.ok()) << "accepted '" << *bad << "'";
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().ToString().find(*bad), std::string::npos);
+    }
+  }
 }
 
 }  // namespace
