@@ -92,7 +92,12 @@ Bytes Comm::RawRecv(int src_local, int tag, void* data, Bytes max_bytes) {
                               << m.payload.size() << " bytes, buffer "
                               << max_bytes);
   }
-  std::memcpy(data, m.payload.data(), m.payload.size());
+  // A mismatched collective can deliver a payload-free message sent by
+  // RawSendModeled here: there is nothing to copy, and its null data()
+  // must not reach memcpy.
+  if (!m.payload.empty()) {
+    std::memcpy(data, m.payload.data(), m.payload.size());
+  }
   return m.payload.size();
 }
 
